@@ -112,17 +112,17 @@ func occupancyChart(title string, q obs.QueueOccupancy) string {
 
 func main() {
 	var (
-		name     = flag.String("workload", "soplexlike", "workload name (see -list)")
-		variant  = flag.String("variant", "base", "variant: base, cfd, cfd+, dfd, cfd+dfd, cfdtq, cfdbq, cfdbqtq")
-		n        = flag.Int64("n", 0, "input size in work items (0 = workload default)")
-		window   = flag.Int("window", 168, "ROB size (168 = paper baseline; larger windows scale IQ/LQ/SQ)")
-		depth    = flag.Int("depth", 10, "minimum fetch-to-execute latency in cycles")
-		bqmiss   = flag.String("bqmiss", "spec", "BQ miss policy: spec (speculative pop) or stall")
-		list     = flag.Bool("list", false, "list workloads and variants")
-		classify = flag.Bool("classify", false, "print each kernel's separability class and per-transform accept/reject reasons")
-		dumpAsm  = flag.Bool("dump-asm", false, "print the program disassembly and exit")
-		branches = flag.Bool("branches", false, "print per-static-branch statistics")
-		pipeview = flag.Int("pipeview", 0, "trace N instructions and print a pipeline diagram")
+		name        = flag.String("workload", "soplexlike", "workload name (see -list)")
+		variant     = flag.String("variant", "base", "variant: base, cfd, cfd+, dfd, cfd+dfd, cfdtq, cfdbq, cfdbqtq")
+		n           = flag.Int64("n", 0, "input size in work items (0 = workload default)")
+		window      = flag.Int("window", 168, "ROB size (168 = paper baseline; larger windows scale IQ/LQ/SQ)")
+		depth       = flag.Int("depth", 10, "minimum fetch-to-execute latency in cycles")
+		bqmiss      = flag.String("bqmiss", "spec", "BQ miss policy: spec (speculative pop) or stall")
+		list        = flag.Bool("list", false, "list workloads and variants")
+		classify    = flag.Bool("classify", false, "print each kernel's separability class and per-transform accept/reject reasons")
+		dumpAsm     = flag.Bool("dump-asm", false, "print the program disassembly and exit")
+		branches    = flag.Bool("branches", false, "print per-static-branch statistics")
+		pipeview    = flag.Int("pipeview", 0, "trace N instructions and print a pipeline diagram")
 		verify      = flag.Bool("verify", false, "cross-check the retired state against the functional emulator")
 		jsonPath    = flag.String("json", "", "write the run's counters, CPI stack, and energy as JSON to this path ('-' = stdout)")
 		journalPath = flag.String("journal", "", "write a structured JSONL event journal of the run to this path")

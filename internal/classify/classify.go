@@ -86,14 +86,15 @@ func Profile(s *workload.Spec, n int64) (*Report, error) {
 		return nil, err
 	}
 	pred := predictor.NewISLTAGE()
+	var l predictor.Lookup
 	perPC := make(map[uint64]*BranchProfile)
 	tracer := emu.TracerFunc(func(ev emu.Event) {
 		if !ev.Inst.Op.IsCondBranch() {
 			return
 		}
-		l := pred.Lookup(ev.PC)
+		pred.Lookup(ev.PC, &l)
 		pred.OnFetchOutcome(ev.PC, ev.Taken)
-		pred.Train(ev.PC, l, ev.Taken)
+		pred.Train(ev.PC, &l, ev.Taken)
 		bp := perPC[ev.PC]
 		if bp == nil {
 			bp = &BranchProfile{PC: ev.PC, Class: prog.NotAnalyzed}

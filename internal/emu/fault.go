@@ -8,7 +8,7 @@ import (
 // retRing keeps the last few retired instructions for fault snapshots,
 // storing raw (pc, inst) pairs so Step never allocates for diagnostics.
 type retRing struct {
-	buf  [fault.RingDepth]struct {
+	buf [fault.RingDepth]struct {
 		pc uint64
 		in isa.Inst
 	}

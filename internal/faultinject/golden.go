@@ -51,14 +51,14 @@ type golden struct {
 	prog *prog.Program
 	mem  *mem.Memory // initial memory; nil for programs that build their own
 
-	steps                []stepRec
-	bqEnt, vqEnt, tqEnt  []entryInfo
-	saveStep             map[isa.Op]int // step index of each Save instruction
-	endRegs              [isa.NumRegs]uint64
-	endPC, endTCR        uint64
-	endBQ                []bool
-	endVQ                []uint64
-	endTQ                []core.TQEntry
+	steps               []stepRec
+	bqEnt, vqEnt, tqEnt []entryInfo
+	saveStep            map[isa.Op]int // step index of each Save instruction
+	endRegs             [isa.NumRegs]uint64
+	endPC, endTCR       uint64
+	endBQ               []bool
+	endVQ               []uint64
+	endTQ               []core.TQEntry
 }
 
 func cloneMem(m *mem.Memory) *mem.Memory {

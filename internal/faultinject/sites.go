@@ -41,9 +41,9 @@ const (
 )
 
 var (
-	ctxBQPreds   = []int64{1, 0, 1, 1, 0, 0, 1, 0, 1}
-	ctxVQValues  = []int64{0x1234, 0xfffe, 77, 31415, 0x55aa, 9}
-	ctxTQCounts  = []int64{3, 1, 5, 2}
+	ctxBQPreds  = []int64{1, 0, 1, 1, 0, 0, 1, 0, 1}
+	ctxVQValues = []int64{0x1234, 0xfffe, 77, 31415, 0x55aa, 9}
+	ctxTQCounts = []int64{3, 1, 5, 2}
 )
 
 func ctxProgram() (*prog.Program, error) {

@@ -163,9 +163,13 @@ type Journal struct {
 	ch   chan Event
 	done chan struct{}
 
+	// mu guards closed, orders sends on ch against Close closing it, and
+	// serializes Subscribe. The writer never takes it: it reads subs, a
+	// copy-on-write slice, without a lock, so an Emit blocked on a full bus
+	// while holding mu cannot stall the writer that would drain it.
 	mu     sync.Mutex
 	closed bool
-	subs   []func(Event)
+	subs   atomic.Pointer[[]func(Event)]
 
 	path string
 	f    *os.File
@@ -259,7 +263,12 @@ func (j *Journal) Subscribe(fn func(Event)) {
 		return
 	}
 	j.mu.Lock()
-	j.subs = append(j.subs, fn)
+	var subs []func(Event)
+	if old := j.subs.Load(); old != nil {
+		subs = append(subs, *old...)
+	}
+	subs = append(subs, fn)
+	j.subs.Store(&subs)
 	j.mu.Unlock()
 }
 
@@ -332,11 +341,10 @@ func (j *Journal) run() {
 		}
 		j.write(ev)
 		j.events.Store(j.seq)
-		j.mu.Lock()
-		subs := j.subs
-		j.mu.Unlock()
-		for _, fn := range subs {
-			fn(ev)
+		if subs := j.subs.Load(); subs != nil {
+			for _, fn := range *subs {
+				fn(ev)
+			}
 		}
 	}
 	if j.w != nil {

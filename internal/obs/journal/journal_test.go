@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -214,6 +215,63 @@ func TestTryEmitDrops(t *testing.T) {
 	}
 }
 
+// TestFullBusNoDeadlock pins that the writer never waits on the lock an
+// Emit holds while it blocks on a full bus. A subscriber parks the writer
+// on its first event; one goroutine emits busDepth+2 events, so the bus
+// fills and its last Emit blocks; Close queues behind it. Once the
+// subscriber is released everything must drain and Close must return.
+// The two short sleeps only make a journal whose writer takes that lock
+// deadlock reliably; a correct journal passes whatever the timing.
+func TestFullBusNoDeadlock(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.journal")
+	j, err := Open(path, "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	j.Subscribe(func(ev Event) {
+		if ev.Type != JournalOpen {
+			once.Do(func() { close(parked); <-release })
+		}
+	})
+	const n = busDepth + 2
+	go func() {
+		for i := 0; i < n; i++ {
+			j.Emit(Event{Type: SpecSubmit, Sweep: 1, Key: "k"})
+		}
+	}()
+	select {
+	case <-parked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the writer never reached the subscriber: it deadlocked against a blocked Emit")
+	}
+	for len(j.ch) < cap(j.ch) {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // let the last Emit block on the full bus
+	closed := make(chan error, 1)
+	go func() { closed <- j.Close() }()
+	time.Sleep(20 * time.Millisecond) // let Close queue behind it
+	close(release)
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return: the writer deadlocked against a blocked Emit")
+	}
+	events, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != n+2 {
+		t.Fatalf("got %d events, want %d (open + %d + close)", len(events), n+2, n)
+	}
+}
+
 // TestSortedReplayCanonical pins the canonicalization: two journals of
 // the same sweep content with different arrival orders, sequence
 // numbers, timestamps, and jobs settings replay byte-identically, with
@@ -307,8 +365,8 @@ func TestCompletedKeys(t *testing.T) {
 		{Type: SpecDone, Key: "b", StoreKey: "b|n=1", Stored: true},
 		{Type: SpecDone, Key: "a", StoreKey: "a|n=1", Stored: true},
 		{Type: SpecDone, Key: "a", StoreKey: "a|n=1", Stored: true}, // dup
-		{Type: SpecDone, Key: "c", Stored: false},                  // not persisted
-		{Type: SpecDone, Key: "d"},                                 // no store attached
+		{Type: SpecDone, Key: "c", Stored: false},                   // not persisted
+		{Type: SpecDone, Key: "d"},                                  // no store attached
 	}
 	got := CompletedKeys(events, true)
 	if len(got) != 2 || got[0] != "a|n=1" || got[1] != "b|n=1" {

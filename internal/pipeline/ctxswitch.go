@@ -147,7 +147,7 @@ func (c *Core) fetchCtxSwitch(u *uop) (stall bool, err error) {
 		for i := 0; i < q.Len(); i++ {
 			pr := c.allocPreg()
 			c.prf[pr] = q.At(i)
-			c.prfReady[pr] = true
+			c.markReady(pr)
 			*c.vq.at(c.vq.specTail) = pr
 			c.vq.specTail++
 		}

@@ -13,7 +13,7 @@ func (c *Core) Dump() string {
 	fmt.Fprintf(&b, "cycle %d  fetchPC %d  stallTill %d  halt %v\n",
 		c.now, c.fetchPC, c.fetchStallTill, c.haltFetched)
 	fmt.Fprintf(&b, "rob %d/%d  iq %d/%d  sq %d/%d  lq %d/%d  frontQ %d\n",
-		c.robCount(), c.cfg.ROBSize, len(c.iq), c.cfg.IQSize,
+		c.robCount(), c.cfg.ROBSize, c.iqLen, c.cfg.IQSize,
 		int(c.sqTail-c.sqHead), c.cfg.SQSize, c.lqCount, c.cfg.LQSize, c.fqLen())
 	fmt.Fprintf(&b, "ckpts %d/%d  freeRegs %d\n", c.usedCkpts, c.cfg.NumCheckpoints, c.freeCount())
 	fmt.Fprintf(&b, "BQ head %d tail %d comm %d mark %d(%v)  TQ head %d tail %d comm %d  TCR %d\n",

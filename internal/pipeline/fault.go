@@ -12,7 +12,7 @@ import (
 // stores raw (pc, inst) pairs so the hot retire path never allocates;
 // rendering happens only when a snapshot is taken.
 type retRing struct {
-	buf  [fault.RingDepth]struct {
+	buf [fault.RingDepth]struct {
 		pc uint64
 		in isa.Inst
 	}
@@ -110,6 +110,8 @@ func (c *Core) checkInvariants() error {
 			c.robHead, c.robTail, c.fqTail)
 	case c.usedCkpts < 0 || c.usedCkpts > c.cfg.NumCheckpoints:
 		return breach("checkpoint count %d outside [0,%d]", c.usedCkpts, c.cfg.NumCheckpoints)
+	case c.iqLen < 0 || c.iqLen > c.cfg.IQSize:
+		return breach("IQ occupancy %d outside [0,%d]", c.iqLen, c.cfg.IQSize)
 	case c.lqCount < 0 || c.lqCount > c.cfg.LQSize:
 		return breach("LQ occupancy %d outside [0,%d]", c.lqCount, c.cfg.LQSize)
 	case c.sqHead > c.sqTail || int(c.sqTail-c.sqHead) > c.cfg.SQSize:

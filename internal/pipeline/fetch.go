@@ -24,18 +24,17 @@ func (c *Core) fetch() error {
 		}
 		in := c.prog.At(c.fetchPC)
 
-		// Build the uop in place in the rob-ring slot it will occupy
-		// (copying a uop is a few hundred bytes; one per stage adds up).
-		// fqTail only advances if the fetch sticks, so a stall simply
-		// abandons the slot.
+		// Build the uop in place in the rob-ring slot it will occupy:
+		// clear it, then store the fields (a composite literal would be
+		// built on the stack and copied). fqTail only advances if the
+		// fetch sticks, so a stall simply abandons the slot.
 		u := c.robAt(c.fqTail)
-		*u = uop{
-			seq: c.seq, pc: c.fetchPC, inst: in,
-			readyAt: c.now + c.feDelay, fetchAt: c.now,
-			pdst: noReg, psrc1: noReg, psrc2: noReg, psrc3: noReg,
-			pold: noReg, vqSrcPreg: noReg,
-			bqIdx: -1, tqIdx: -1, vqIdx: -1,
-		}
+		*u = uop{}
+		u.seq, u.pc, u.inst = c.seq, c.fetchPC, in
+		u.readyAt, u.fetchAt = c.now+c.feDelay, c.now
+		u.pdst, u.psrc1, u.psrc2, u.psrc3 = noReg, noReg, noReg, noReg
+		u.pold, u.vqSrcPreg = noReg, noReg
+		u.bqIdx, u.tqIdx, u.vqIdx = -1, -1, -1
 		u.port, u.mulDiv = portFor(in.Op)
 		next := c.fetchPC + 1
 		redirect := false
@@ -66,20 +65,20 @@ func (c *Core) fetch() error {
 		case op == isa.JAL:
 			u.actTaken, u.actTarget = true, in.Target(c.fetchPC)
 			u.resolvedFetch = true
-			u.rasOldTop = c.ras.Top()
+			u.rasOldTop = int32(c.ras.Top())
 			c.ras.Push(c.fetchPC + 1)
 			next, redirect = u.actTarget, true
 
 		case op == isa.JR:
 			u.isJR = true
-			u.rasOldTop = c.ras.Top()
+			u.rasOldTop = int32(c.ras.Top())
 			if tgt, ok := c.ras.Pop(); ok {
 				u.predTarget = tgt
 			} else {
 				u.predTarget = c.fetchPC + 1
 			}
 			u.usedPredictor = true
-			u.hist = c.pred.Snapshot()
+			c.snapshotHist()
 			c.btbProbe(u, true)
 			next, redirect = u.predTarget, true
 
@@ -102,7 +101,7 @@ func (c *Core) fetch() error {
 			}
 			u.actTarget = in.Target(c.fetchPC)
 			u.predTarget = u.actTarget
-			u.hist = c.pred.Snapshot()
+			c.snapshotHist()
 			c.pred.OnFetchOutcome(c.fetchPC, u.actTaken)
 			if u.actTaken {
 				c.btbProbe(u, true)
@@ -143,13 +142,13 @@ func (c *Core) fetch() error {
 				if e.overflow {
 					c.specTCR = 0
 					u.predTaken, u.actTaken = true, true
-					u.hist = c.pred.Snapshot()
+					c.snapshotHist()
 					c.pred.OnFetchOutcome(c.fetchPC, true)
 					c.btbProbe(u, true)
 					next, redirect = u.actTarget, true
 				} else {
 					c.specTCR = uint64(e.count)
-					u.hist = c.pred.Snapshot()
+					c.snapshotHist()
 					c.pred.OnFetchOutcome(c.fetchPC, false)
 					c.btbProbe(u, false)
 				}
@@ -246,18 +245,31 @@ func (c *Core) predictCond(u *uop) bool {
 			u.usedOracle = true
 			u.resolvedFetch = true
 			u.actTaken = taken
-			u.hist = c.pred.Snapshot()
+			c.snapshotHist()
 			c.pred.OnFetchOutcome(pc, taken)
 			return taken
 		}
 	}
 	c.Meter.Add(energy.PredictorAccess, 1)
 	u.usedPredictor = true
-	u.lookup = c.pred.Lookup(pc)
-	u.hist = c.pred.Snapshot()
-	c.pred.OnFetchOutcome(pc, u.lookup.Pred)
-	return u.lookup.Pred
+	taken := c.lookupPred(pc)
+	c.pred.OnFetchOutcome(pc, taken)
+	return taken
 }
+
+// lookupPred predicts the branch being fetched: the predictor writes its
+// Lookup and a history snapshot straight into the uop's bp slot. It
+// returns the predicted direction.
+func (c *Core) lookupPred(pc uint64) bool {
+	bp := c.bpAt(c.fqTail)
+	c.pred.Lookup(pc, &bp.lookup)
+	c.pred.Snapshot(&bp.hist)
+	return bp.lookup.Pred
+}
+
+// snapshotHist records the predictor's speculative history in the bp slot
+// of the uop being fetched, for a recovery anchored at it to restore.
+func (c *Core) snapshotHist() { c.pred.Snapshot(&c.bpAt(c.fqTail).hist) }
 
 // fetchBranchBQ handles a BranchBQ pop at fetch: non-speculative resolution
 // when the predicate has been pushed, otherwise the configured BQ-miss
@@ -282,7 +294,7 @@ func (c *Core) fetchBranchBQ(u *uop) (next uint64, stall bool) {
 		u.predTaken = e.pred
 		u.bqIdx = int64(c.bq.specHead)
 		c.bq.specHead++
-		u.hist = c.pred.Snapshot()
+		c.snapshotHist()
 		c.pred.OnFetchOutcome(u.pc, e.pred)
 		c.btbProbe(u, e.pred)
 		if e.pred {
@@ -305,9 +317,7 @@ func (c *Core) bqMiss(u *uop) (next uint64, stall bool) {
 	c.Meter.Add(energy.PredictorAccess, 1)
 	u.specPop = true
 	u.usedPredictor = true
-	u.lookup = c.pred.Lookup(u.pc)
-	u.predTaken = u.lookup.Pred
-	u.hist = c.pred.Snapshot()
+	u.predTaken = c.lookupPred(u.pc)
 	c.pred.OnFetchOutcome(u.pc, u.predTaken)
 	if c.bq.specHead < c.bq.specTail {
 		e := c.bq.at(c.bq.specHead)
@@ -339,4 +349,3 @@ func (c *Core) btbProbe(u *uop, taken bool) {
 		c.btb.Insert(u.pc, u.predTarget)
 	}
 }
-

@@ -32,25 +32,12 @@ func portFor(op isa.Op) (port, bool) {
 	}
 }
 
-// iqEnt is a compact issue-queue entry: just the operand registers and port
-// routing the wakeup/select scan needs, so the per-cycle walk stays within a
-// cache line per entry instead of dragging whole uops through the cache.
-type iqEnt struct {
-	pos    uint64 // rob position
-	seq    uint64
-	psrc1  int32
-	psrc2  int32
-	psrc3  int32
-	vqSrc  int32
-	port   port
-	mulDiv bool
-	isLoad bool
-}
-
 // issue selects ready instructions from the issue queue — oldest first, up
 // to IssueWidth and the per-port limits — and executes them: values are
 // computed here (execute-at-execute) and completion is scheduled after the
 // operation latency (loads: when the cache hierarchy delivers the line).
+// Select visits only operand-ready uops (see wakeup.go); a load also waits
+// until every older store has resolved its address.
 func (c *Core) issue() {
 	c.agenStores()
 	aluLeft := c.cfg.ALUPorts
@@ -59,36 +46,31 @@ func (c *Core) issue() {
 	mulDivLeft := 1
 	issued := 0
 
-	kept := c.iq[:0]
-	for qi := range c.iq {
-		e := &c.iq[qi]
+	for pos := c.nextReady(c.robHead); pos < c.robTail; pos = c.nextReady(pos + 1) {
 		if issued >= c.cfg.IssueWidth || aluLeft+memLeft+brLeft == 0 {
-			kept = append(kept, c.iq[qi:]...)
 			break
 		}
+		u := c.robAt(pos)
 		avail := false
-		switch e.port {
+		switch u.port {
 		case portALU:
-			avail = aluLeft > 0 && (!e.mulDiv || mulDivLeft > 0)
+			avail = aluLeft > 0 && (!u.mulDiv || mulDivLeft > 0)
 		case portMem:
 			avail = memLeft > 0
 		case portBr:
 			avail = brLeft > 0
 		}
-		if !avail || !c.ready(e) {
-			kept = append(kept, *e)
-			continue
+		if !avail || (u.isLoad && u.seq > c.sqResolvedTo) {
+			continue // no port left, or an older store's address is unresolved
 		}
-		u := c.robAt(e.pos)
-		if !c.execute(u, e.pos) {
-			kept = append(kept, *e) // load blocked on a store conflict
-			continue
+		if !c.execute(u, pos) {
+			continue // load blocked on a store conflict
 		}
 		issued++
-		switch e.port {
+		switch u.port {
 		case portALU:
 			aluLeft--
-			if e.mulDiv {
+			if u.mulDiv {
 				mulDivLeft--
 			}
 		case portMem:
@@ -97,39 +79,18 @@ func (c *Core) issue() {
 			brLeft--
 		}
 		u.issued = true
+		c.unready(pos)
+		c.iqLen--
 		c.Meter.Add(energy.IQIssue, 1)
 	}
-	c.iq = kept
 	c.cycIssued = issued
-}
-
-// ready reports whether all source operands are available and, for loads,
-// whether every older store has resolved its address and data.
-func (c *Core) ready(e *iqEnt) bool {
-	if e.psrc1 >= 0 && !c.prfReady[e.psrc1] {
-		return false
-	}
-	if e.psrc2 >= 0 && !c.prfReady[e.psrc2] {
-		return false
-	}
-	if e.psrc3 >= 0 && !c.prfReady[e.psrc3] {
-		return false
-	}
-	if e.vqSrc >= 0 && !c.prfReady[e.vqSrc] {
-		return false
-	}
-	if e.isLoad && e.seq > c.sqResolvedTo {
-		// An older store has not resolved its address yet.
-		return false
-	}
-	return true
 }
 
 // agenStores resolves store addresses as soon as the base register is
 // ready, independent of the data operand, so memory disambiguation does not
 // serialize younger loads behind pending store data. It also refreshes
 // sqResolvedTo — the seq below which every store queue entry has a resolved
-// address — which is all ready() needs to disambiguate a load.
+// address — which is all select needs to disambiguate a load.
 func (c *Core) agenStores() {
 	resolvedTo := ^uint64(0)
 	for pos := c.sqHead; pos < c.sqTail; pos++ {
@@ -224,7 +185,7 @@ func (c *Core) execute(u *uop, pos uint64) bool {
 	case op.IsStore():
 		addr := v1 + uint64(u.inst.Imm)
 		size := emu.StoreSize(op)
-		u.addr, u.storeData, u.storeSize = addr, v2&sizeMask(size), size
+		u.addr, u.storeData, u.storeSize = addr, v2&sizeMask(size), uint8(size)
 		e := c.sqAt(u.sqPos)
 		e.addr, e.size, e.addrOK = addr, size, true
 		e.data, e.dataOK = u.storeData, true
@@ -330,7 +291,7 @@ func (c *Core) sqLookup(seq, addr uint64, size int) (val uint64, fwd, wait bool)
 			break
 		}
 		if !e.addrOK {
-			return 0, false, true // guarded by ready(); defensive
+			return 0, false, true // guarded at select; defensive
 		}
 		if e.addr+uint64(e.size) <= addr || addr+uint64(size) <= e.addr {
 			continue
@@ -349,20 +310,18 @@ func (c *Core) sqLookup(seq, addr uint64, size int) (val uint64, fwd, wait bool)
 // pushes write their queue entries — including the late-push check against
 // speculative pops (§III-C2).
 func (c *Core) complete() {
-	slot := c.now % eventRing
-	evs := c.events[slot]
-	if len(evs) == 0 {
-		return
-	}
-	c.cycCompleted = len(evs)
-	c.events[slot] = evs[:0]
-	for _, ev := range evs {
+	for n := c.events.take(c.now % eventRing); n != 0; {
+		ev := c.events.nodes[n]
+		c.cycCompleted++
 		if ev.at > c.now {
-			// Parked long-latency event: reschedule (now within ring
-			// range or parks again).
-			c.schedule(ev.at, ev.robPos, ev.seq)
+			// Parked long-latency event: move it to its own bucket (now
+			// within ring range) or park it again.
+			c.events.link(c.bucketFor(ev.at), n)
+			n = ev.next
 			continue
 		}
+		c.events.release(n)
+		n = ev.next
 		u := c.robAt(ev.robPos)
 		if u.seq != ev.seq || u.squashed {
 			continue
@@ -370,7 +329,7 @@ func (c *Core) complete() {
 		u.executed = true
 		u.doneAt = c.now
 		if u.pdst >= 0 {
-			c.prfReady[u.pdst] = true
+			c.markReady(u.pdst)
 		}
 		switch {
 		case u.inst.Op == isa.PushBQ:
@@ -416,7 +375,7 @@ func (c *Core) resolveBranch(u *uop, pos uint64) {
 	}
 	if u.hasCkpt {
 		c.Stats.Recoveries++
-		c.pred.Restore(u.hist)
+		c.pred.Restore(&c.bpAt(pos).hist)
 		if u.isCond {
 			c.pred.OnFetchOutcome(u.pc, u.actTaken)
 		}
@@ -455,7 +414,7 @@ func (c *Core) completePushBQ(u *uop) {
 // confirmSpecPop marks the speculating pop resolved and releases its
 // checkpoint.
 func (c *Core) confirmSpecPop(e *bqEntryHW, pred bool) {
-	pop := c.findPop(e)
+	pop, _ := c.findPop(e)
 	if pop == nil {
 		return
 	}
@@ -468,27 +427,27 @@ func (c *Core) confirmSpecPop(e *bqEntryHW, pred bool) {
 }
 
 // findPop locates the speculating pop for a BQ entry, in the ROB or still
-// in the front-end queue.
-func (c *Core) findPop(e *bqEntryHW) *uop {
+// in the front-end queue, and returns it with its rob position.
+func (c *Core) findPop(e *bqEntryHW) (*uop, uint64) {
 	if e.popRob != ^uint64(0) && e.popRob >= c.robHead && e.popRob < c.robTail {
 		u := c.robAt(e.popRob)
 		if u.seq == e.popSeq {
-			return u
+			return u, e.popRob
 		}
 	}
 	for pos := c.robTail; pos < c.fqTail; pos++ {
 		if u := c.robAt(pos); u.seq == e.popSeq {
-			return u
+			return u, pos
 		}
 	}
-	return nil
+	return nil, 0
 }
 
 // lateRecover handles a late push whose predicate disagrees with the
 // speculative pop's prediction: recover to the pop using the checkpoint it
 // claimed, exactly like a branch misprediction anchored at the pop.
 func (c *Core) lateRecover(e *bqEntryHW, pred bool) {
-	pop := c.findPop(e)
+	pop, pos := c.findPop(e)
 	if pop == nil {
 		return // pop squashed between the claim and now; popped bit was stale
 	}
@@ -501,7 +460,7 @@ func (c *Core) lateRecover(e *bqEntryHW, pred bool) {
 		newPC = pop.actTarget
 	}
 	c.Stats.Recoveries++
-	c.pred.Restore(pop.hist)
+	c.pred.Restore(&c.bpAt(pos).hist)
 	c.pred.OnFetchOutcome(pop.pc, pred)
 	c.recoverAfter(pop.seq, newPC)
 	c.noteRecovery(pop.seq, e.srcLevel, true)

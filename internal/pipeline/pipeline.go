@@ -46,74 +46,91 @@ var ErrDeadlock = errors.New("pipeline: no retirement progress (deadlock)")
 
 const noReg = int32(-1)
 
-// uop is one in-flight instruction.
+// uop is one in-flight instruction. Fetch builds one for every fetched
+// instruction, right path and wrong path alike, so its size is host cost
+// per fetched uop: fields are grouped by size so the struct packs without
+// padding, and the predictor state only branches need lives in the bp side
+// array (bpSlot), not here.
 type uop struct {
 	seq     uint64
 	pc      uint64
 	inst    isa.Inst
 	readyAt uint64 // cycle at which it may rename (front-end depth)
 
-	// Control state.
-	isCond        bool
-	isJR          bool
-	predTaken     bool
-	predTarget    uint64
-	actTaken      bool
-	actTarget     uint64
-	resolvedFetch bool // direction known non-speculatively at fetch
-	usedPredictor bool
-	usedOracle    bool
-	specPop       bool // BranchBQ that missed and speculated
-	lookup        predictor.Lookup
-	hist          predictor.HistSnap
-	hasCkpt       bool
-	mispredict    bool
-	retireRecover bool // recover at retire (no checkpoint)
-	recovered     bool
-
-	// Rename state (physical registers; -1 = none).
-	pdst, psrc1, psrc2, psrc3 int32
-	pold                      int32
-	vqSrcPreg                 int32
+	// Control targets.
+	predTarget uint64
+	actTarget  uint64
 
 	// Undo records for walk-based recovery.
-	rasOldTop int
-	oldTCR    uint64
-	oldMark   uint64
-	oldMarkOK bool
-	bqIdx      int64 // PushBQ: allocated tail; BranchBQ: popped head
-	tqIdx      int64
-	vqIdx      int64
-	fwdFrom    uint64
-	fwdTo      uint64
-	fwdHadMark bool // ForwardBQ: a MarkBQ preceded it (checked at retire)
+	oldTCR  uint64
+	oldMark uint64
+	bqIdx   int64 // PushBQ: allocated tail; BranchBQ: popped head
+	tqIdx   int64
+	vqIdx   int64
+	fwdFrom uint64
+	fwdTo   uint64
 
 	// Memory state.
-	isLoad, isStore bool
-	addr            uint64
-	storeData       uint64
-	storeSize       int
-	memLevel        cache.ServiceLevel
-	srcLevel        cache.ServiceLevel
-	sqPos           uint64
-	lqPos           uint64
-
-	inIQ     bool
-	executed bool
-	issued   bool
-	squashed bool
-	isHalt   bool
-
-	// Issue-port routing, decided once at fetch so the per-cycle IQ scan
-	// does not re-derive it from the opcode.
-	port   port
-	mulDiv bool
+	addr      uint64
+	storeData uint64
+	sqPos     uint64
 
 	// Stage timestamps (pipeline tracing).
 	fetchAt  uint64
 	renameAt uint64
 	issueAt  uint64
 	doneAt   uint64
+
+	// Rename state (physical registers; -1 = none).
+	pdst, psrc1, psrc2, psrc3 int32
+	pold                      int32
+	vqSrcPreg                 int32
+	rasOldTop                 int32 // JAL/JR: RAS top before the push/pop
+
+	storeSize uint8
+	memLevel  cache.ServiceLevel
+	srcLevel  cache.ServiceLevel
+
+	// Issue-port routing, decided once at fetch so select does not
+	// re-derive it from the opcode.
+	port   port
+	mulDiv bool
+
+	// pending counts the source operands not yet ready while the uop waits
+	// in the issue queue (see wakeup.go).
+	pending uint8
+
+	// Control state.
+	isCond        bool
+	isJR          bool
+	predTaken     bool
+	actTaken      bool
+	resolvedFetch bool // direction known non-speculatively at fetch
+	usedPredictor bool
+	usedOracle    bool
+	specPop       bool // BranchBQ that missed and speculated
+	hasCkpt       bool
+	mispredict    bool
+	retireRecover bool // recover at retire (no checkpoint)
+	recovered     bool
+	oldMarkOK     bool
+	fwdHadMark    bool // ForwardBQ: a MarkBQ preceded it (checked at retire)
+
+	isLoad, isStore bool
+	inIQ            bool
+	executed        bool
+	issued          bool
+	squashed        bool
+	isHalt          bool
+}
+
+// bpSlot is a branch's predictor state: the Lookup that Train consumes at
+// retirement and the history snapshot a recovery restores. It sits in a
+// side array indexed like the rob (pos & robMask) because only branches
+// that consult the predictor or snapshot history write it.
+type bpSlot struct {
+	lookup predictor.Lookup
+	hist   predictor.HistSnap
 }
 
 // bqEntryHW is a physical BQ entry (paper Fig 9): the software-visible
@@ -303,11 +320,11 @@ type Core struct {
 	// (copying a several-hundred-byte uop per stage dominated the hot
 	// loop). The ring is sized for ROBSize plus the front-end capacity.
 	rob     []uop
+	bp      []bpSlot // branch predictor state, indexed like rob
 	robMask uint64
 	robHead uint64
 	robTail uint64
 	fqTail  uint64
-	iq      []iqEnt // age order
 	sq      []sqEntry
 	sqMask  uint64
 	sqHead  uint64
@@ -324,10 +341,14 @@ type Core struct {
 
 	usedCkpts int
 
-	// Completion events: a bucket ring indexed by cycle. Events farther
-	// out than the ring (rare: deeply queued misses) park in the last
-	// slot and reschedule.
-	events [][]completion
+	// Issue queue: wakeup state over the rob slots (see wakeup.go).
+	iqLen    int      // uops waiting to issue
+	ready    []uint64 // operand-ready bitmap, one bit per rob slot
+	waitHead []int32  // per physical register: first waiter node (0 = none)
+	waiters  []waiter // waiter node pool; node 0 is unused
+	waitFree int32    // waiter free-list head (0 = empty)
+
+	events wheel // completion events (see wheel.go)
 
 	now             uint64
 	done            bool
@@ -370,24 +391,6 @@ type Core struct {
 
 	Stats Stats
 	Meter *energy.Meter
-}
-
-type completion struct {
-	robPos uint64
-	seq    uint64
-	at     uint64
-}
-
-// eventRing is the completion ring size; it must exceed the longest normal
-// operation latency including MSHR queueing.
-const eventRing = 1 << 14
-
-func (c *Core) schedule(at, robPos, seq uint64) {
-	slot := at
-	if at-c.now >= eventRing {
-		slot = c.now + eventRing - 1
-	}
-	c.events[slot%eventRing] = append(c.events[slot%eventRing], completion{robPos: robPos, seq: seq, at: at})
 }
 
 // fqLen returns the front-end queue occupancy.
@@ -451,9 +454,10 @@ func New(cfg config.Core, p *prog.Program, m *mem.Memory, opts ...Option) (*Core
 	tqCap := nextPow2(cfg.TQSize)
 	vqCap := nextPow2(cfg.VQSize)
 	// The rob ring also hosts the front-end queue (see the Core field
-	// comment), so size it for both occupancies.
+	// comment), so size it for both occupancies, and to at least one
+	// bitmap word so ready-bitmap words never wrap mid-word.
 	capFQ := cfg.FetchWidth * (cfg.FrontEndDepth + 1)
-	robCap := nextPow2(cfg.ROBSize + capFQ)
+	robCap := nextPow2(max(cfg.ROBSize+capFQ, 64))
 	sqCap := nextPow2(cfg.SQSize)
 	c := &Core{
 		cfg:     cfg,
@@ -468,19 +472,14 @@ func New(cfg config.Core, p *prog.Program, m *mem.Memory, opts ...Option) (*Core
 		tq:      tqHW{size: cfg.TQSize, mask: tqCap - 1, entries: make([]tqEntryHW, tqCap)},
 		vq:      vqRen{size: cfg.VQSize, mask: vqCap - 1, mapping: make([]int32, vqCap)},
 		rob:     make([]uop, robCap),
+		bp:      make([]bpSlot, robCap),
 		robMask: robCap - 1,
 		sq:      make([]sqEntry, sqCap),
 		sqMask:  sqCap - 1,
-		events:  make([][]completion, eventRing),
+		ready:   make([]uint64, robCap/64),
+		waiters: make([]waiter, 1, 4*robCap),
+		events:  newWheel(int(robCap)),
 		Meter:   energy.NewMeter(energy.DefaultModel(cfg.ROBSize)),
-	}
-	// Seed each completion bucket with a little capacity carved from one
-	// backing array: steady state then appends without allocating (the
-	// drain in complete() resets buckets to length zero, keeping whatever
-	// capacity they have grown to).
-	evBack := make([]completion, eventRing*4)
-	for i := range c.events {
-		c.events[i] = evBack[i*4 : i*4 : i*4+4]
 	}
 	switch cfg.Predictor {
 	case config.PredGshare:
@@ -496,6 +495,7 @@ func New(cfg config.Core, p *prog.Program, m *mem.Memory, opts ...Option) (*Core
 	c.prf = make([]uint64, n)
 	c.prfReady = make([]bool, n)
 	c.prfLevel = make([]cache.ServiceLevel, n)
+	c.waitHead = make([]int32, n)
 	flCap := nextPow2(n)
 	c.freeRing = make([]int32, flCap)
 	c.flMask = flCap - 1
@@ -599,7 +599,7 @@ func (c *Core) idleSkip(wd *fault.Watchdog, stallLimit uint64) {
 		scanTo = horizon
 	}
 	for t := c.now; t < scanTo; t++ {
-		if len(c.events[t%eventRing]) > 0 {
+		if c.events.buckets[t%eventRing].head != 0 {
 			target = t
 			break
 		}
@@ -740,25 +740,27 @@ func (c *Core) Done() bool { return c.done }
 // freelist helpers.
 func (c *Core) freeCount() int { return int(c.flTail - c.flHead) }
 
+// allocPreg takes the next free physical register. It starts not ready and
+// with no waiters: any left on it belong to squashed uops (see wakeup.go).
 func (c *Core) allocPreg() int32 {
 	pr := c.freeRing[c.flHead&c.flMask]
 	c.flHead++
 	c.prfReady[pr] = false
 	c.prfLevel[pr] = cache.NoData
+	c.dropWaiters(pr)
 	return pr
 }
 
 func (c *Core) freePreg(pr int32) {
-	if pr < isa.NumRegs {
-		// Initial logical mappings are freed once renamed over; they
-		// re-enter the pool like any other register.
-	}
 	c.freeRing[c.flTail&c.flMask] = pr
 	c.flTail++
 }
 
 // robAt returns the uop at a monotonic rob position.
 func (c *Core) robAt(pos uint64) *uop { return &c.rob[pos&c.robMask] }
+
+// bpAt returns the predictor state of the uop at a monotonic rob position.
+func (c *Core) bpAt(pos uint64) *bpSlot { return &c.bp[pos&c.robMask] }
 
 // sqAt returns the store-queue entry at a monotonic sq position.
 func (c *Core) sqAt(pos uint64) *sqEntry { return &c.sq[pos&c.sqMask] }

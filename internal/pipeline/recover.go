@@ -13,7 +13,8 @@ import "cfd/internal/isa"
 // This walk implements the paper's recovery semantics (§III-C4): restore
 // BQ head/tail/mark from the checkpoint, clear popped bits between them,
 // and deduct squashed pushes from pending_push_ctr — expressed here through
-// the monotonic pointer representation.
+// the monotonic pointer representation. Squashed uops still waiting in the
+// issue queue leave it here.
 func (c *Core) recoverAfter(anchorSeq, newPC uint64) {
 	// Front-end queue first: its uops are the youngest.
 	for c.fqTail > c.robTail {
@@ -36,22 +37,16 @@ func (c *Core) recoverAfter(anchorSeq, newPC uint64) {
 		}
 		c.undoFetchSide(u)
 		c.undoRenameSide(u)
+		if u.inIQ && !u.issued {
+			c.unready(c.robTail - 1)
+			c.iqLen--
+		}
 		u.squashed = true
 		c.traceRecord(u)
 		c.Stats.SquashedUops++
 		c.robTail--
 		c.fqTail = c.robTail
 	}
-
-	// Drop squashed issue-queue entries (they are all younger than the
-	// anchor or they would have survived the walk).
-	kept := c.iq[:0]
-	for _, e := range c.iq {
-		if e.pos < c.robTail && e.seq <= anchorSeq {
-			kept = append(kept, e)
-		}
-	}
-	c.iq = kept
 
 	c.pred.OnSquash()
 	c.fetchPC = newPC
@@ -88,7 +83,7 @@ func (c *Core) undoFetchSide(u *uop) {
 	case isa.BranchTCR:
 		c.specTCR = u.oldTCR
 	case isa.JAL, isa.JR:
-		c.ras.SetTop(u.rasOldTop)
+		c.ras.SetTop(int(u.rasOldTop))
 	case isa.HALT:
 		c.haltFetched = false
 	}

@@ -43,7 +43,7 @@ func (c *Core) rename() error {
 		}
 		op := u.inst.Op
 		inIQ := needsIQ(u)
-		if inIQ && len(c.iq) >= c.cfg.IQSize {
+		if inIQ && c.iqLen >= c.cfg.IQSize {
 			break
 		}
 		isLoad := op.IsLoad() // includes PREF
@@ -132,7 +132,7 @@ func (c *Core) rename() error {
 			u.pdst = pr
 			if op == isa.JAL {
 				c.prf[pr] = u.pc + 1
-				c.prfReady[pr] = true
+				c.markReady(pr)
 			}
 		}
 
@@ -160,12 +160,7 @@ func (c *Core) rename() error {
 		pos := c.robTail
 		c.robTail++
 		if inIQ {
-			c.iq = append(c.iq, iqEnt{
-				pos: pos, seq: u.seq,
-				psrc1: u.psrc1, psrc2: u.psrc2, psrc3: u.psrc3,
-				vqSrc: u.vqSrcPreg,
-				port:  u.port, mulDiv: u.mulDiv, isLoad: u.isLoad,
-			})
+			c.dispatch(u, pos)
 			c.Meter.Add(energy.IQWrite, 1)
 		}
 		c.Meter.Add(energy.Rename, 1)

@@ -28,7 +28,7 @@ func (c *Core) retire() error {
 				newPC = u.pc + 1
 			}
 			c.Stats.RetireRecoveries++
-			c.pred.Restore(u.hist)
+			c.pred.Restore(&c.bpAt(c.robHead).hist)
 			if u.isCond {
 				c.pred.OnFetchOutcome(u.pc, u.actTaken)
 			}
@@ -43,7 +43,7 @@ func (c *Core) retire() error {
 		case u.isHalt:
 			c.done = true
 		case u.isStore:
-			c.mem.Write(u.addr, u.storeSize, u.storeData)
+			c.mem.Write(u.addr, int(u.storeSize), u.storeData)
 			if u.addr < addrLimit {
 				_, lvl := c.hier.Access(u.addr, c.now)
 				c.chargeMemEnergy(lvl)
@@ -113,7 +113,7 @@ func (c *Core) retire() error {
 				bs.Taken++
 			}
 			if u.usedPredictor {
-				c.pred.Train(u.pc, u.lookup, u.actTaken)
+				c.pred.Train(u.pc, &c.bpAt(c.robHead).lookup, u.actTaken)
 				c.conf.Update(u.pc, u.actTaken == u.predTaken)
 			}
 			if u.mispredict {

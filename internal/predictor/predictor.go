@@ -11,8 +11,8 @@ package predictor
 const numTables = 8
 
 // Lookup carries one prediction plus the internal state needed to train the
-// predictor at retirement. The pipeline stores it in the branch's window
-// entry and hands it back to Train unchanged.
+// predictor at retirement. The pipeline keeps it in a per-window-slot side
+// array, has Lookup fill it there, and hands it back to Train unchanged.
 type Lookup struct {
 	// Pred is the predicted direction.
 	Pred bool
@@ -45,7 +45,7 @@ type Lookup struct {
 
 // HistSnap is a value snapshot of a predictor's speculative history,
 // sufficient to roll back to a branch or checkpoint. One struct covers all
-// predictor kinds.
+// predictor kinds; each kind writes and reads only the fields it uses.
 type HistSnap struct {
 	pos      uint32
 	path     uint32
@@ -65,15 +65,21 @@ type HistSnap struct {
 // speculative history around checkpoints; OnSquash additionally resyncs
 // speculative state that is too large to checkpoint (the loop predictor's
 // iteration counters). Train is called in retirement order with the Lookup
-// returned at fetch.
+// filled at fetch.
+//
+// Lookup, Snapshot, Restore and Train take pointers so the caller's storage
+// is written and read in place: a Lookup or HistSnap is 100-odd bytes, and
+// the pipeline makes these calls for every fetched branch. Lookup overwrites
+// all of *l. Snapshot writes only the fields its own Restore reads, so a
+// snapshot must be restored into the predictor that took it.
 type DirPredictor interface {
 	Name() string
-	Lookup(pc uint64) Lookup
+	Lookup(pc uint64, l *Lookup)
 	OnFetchOutcome(pc uint64, taken bool)
-	Snapshot() HistSnap
-	Restore(s HistSnap)
+	Snapshot(s *HistSnap)
+	Restore(s *HistSnap)
 	OnSquash()
-	Train(pc uint64, l Lookup, taken bool)
+	Train(pc uint64, l *Lookup, taken bool)
 }
 
 // lfsr is a tiny deterministic pseudo-random source for TAGE allocation.

@@ -14,7 +14,8 @@ func drive(p DirPredictor, trace []struct {
 }) float64 {
 	correct, total := 0, 0
 	for i, ev := range trace {
-		l := p.Lookup(ev.pc)
+		var l Lookup
+		p.Lookup(ev.pc, &l)
 		if i >= len(trace)/2 {
 			total++
 			if l.Pred == ev.taken {
@@ -22,7 +23,7 @@ func drive(p DirPredictor, trace []struct {
 			}
 		}
 		p.OnFetchOutcome(ev.pc, ev.taken)
-		p.Train(ev.pc, l, ev.taken)
+		p.Train(ev.pc, &l, ev.taken)
 	}
 	return float64(correct) / float64(total)
 }
@@ -74,7 +75,8 @@ func TestTAGELearnsHistoryPattern(t *testing.T) {
 	p := NewISLTAGE()
 	correct, total := 0, 0
 	for i, ev := range tr {
-		l := p.Lookup(ev.pc)
+		var l Lookup
+		p.Lookup(ev.pc, &l)
 		if ev.pc == 0x200 && i >= len(tr)/2 {
 			total++
 			if l.Pred == ev.taken {
@@ -82,7 +84,7 @@ func TestTAGELearnsHistoryPattern(t *testing.T) {
 			}
 		}
 		p.OnFetchOutcome(ev.pc, ev.taken)
-		p.Train(ev.pc, l, ev.taken)
+		p.Train(ev.pc, &l, ev.taken)
 	}
 	acc := float64(correct) / float64(total)
 	if acc < 0.95 {
@@ -123,18 +125,21 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 500; i++ {
 		pc := uint64(rng.Intn(64)) * 4
-		l := p.Lookup(pc)
+		var l Lookup
+		p.Lookup(pc, &l)
 		p.OnFetchOutcome(pc, rng.Intn(2) == 0)
-		_ = l
 	}
-	snap := p.Snapshot()
-	before := p.Lookup(0x123)
+	var snap HistSnap
+	p.Snapshot(&snap)
+	var before Lookup
+	p.Lookup(0x123, &before)
 	// Pollute history down a "wrong path", then restore.
 	for i := 0; i < 100; i++ {
 		p.OnFetchOutcome(uint64(i)*8, i%3 == 0)
 	}
-	p.Restore(snap)
-	after := p.Lookup(0x123)
+	p.Restore(&snap)
+	var after Lookup
+	p.Lookup(0x123, &after)
 	if before != after {
 		t.Error("Lookup differs after Snapshot/Restore round trip")
 	}
@@ -144,11 +149,15 @@ func TestGshareSnapshotRestore(t *testing.T) {
 	p := NewGshare(12, 12)
 	p.OnFetchOutcome(4, true)
 	p.OnFetchOutcome(8, false)
-	s := p.Snapshot()
-	before := p.Lookup(0x40)
+	var s HistSnap
+	p.Snapshot(&s)
+	var before Lookup
+	p.Lookup(0x40, &before)
 	p.OnFetchOutcome(12, true)
-	p.Restore(s)
-	if p.Lookup(0x40) != before {
+	p.Restore(&s)
+	var after Lookup
+	p.Lookup(0x40, &after)
+	if after != before {
 		t.Error("gshare restore did not recover history")
 	}
 }
@@ -158,17 +167,20 @@ func TestOnSquashResyncsLoopPredictor(t *testing.T) {
 	// Train a loop entry.
 	for rep := 0; rep < 50; rep++ {
 		for i := 0; i < 10; i++ {
-			l := p.Lookup(0x700)
+			var l Lookup
+			p.Lookup(0x700, &l)
 			p.OnFetchOutcome(0x700, true)
-			p.Train(0x700, l, true)
+			p.Train(0x700, &l, true)
 		}
-		l := p.Lookup(0x700)
+		var l Lookup
+		p.Lookup(0x700, &l)
 		p.OnFetchOutcome(0x700, false)
-		p.Train(0x700, l, false)
+		p.Train(0x700, &l, false)
 	}
 	// Speculatively fetch a few iterations that will squash.
 	for i := 0; i < 5; i++ {
-		p.Lookup(0x700)
+		var l Lookup
+		p.Lookup(0x700, &l)
 		p.OnFetchOutcome(0x700, true)
 	}
 	p.OnSquash()
@@ -261,7 +273,8 @@ func TestConfidenceEstimator(t *testing.T) {
 
 func TestStaticPredictor(t *testing.T) {
 	p := &Static{Taken: true}
-	if !p.Lookup(0).Pred {
+	var l Lookup
+	if p.Lookup(0, &l); !l.Pred {
 		t.Error("always-taken predicted not-taken")
 	}
 	if (&Static{}).Name() != "always-not-taken" {

@@ -15,25 +15,25 @@ func NewBimodal(logSize int) *Bimodal {
 func (p *Bimodal) Name() string { return "bimodal" }
 
 // Lookup implements DirPredictor.
-func (p *Bimodal) Lookup(pc uint64) Lookup {
+func (p *Bimodal) Lookup(pc uint64, l *Lookup) {
 	idx := uint32(pc) & p.mask
-	return Lookup{Pred: p.ctrs[idx] >= 0, baseIdx: idx}
+	*l = Lookup{Pred: p.ctrs[idx] >= 0, baseIdx: idx}
 }
 
 // OnFetchOutcome implements DirPredictor (bimodal keeps no history).
 func (p *Bimodal) OnFetchOutcome(pc uint64, taken bool) {}
 
 // Snapshot implements DirPredictor.
-func (p *Bimodal) Snapshot() HistSnap { return HistSnap{} }
+func (p *Bimodal) Snapshot(s *HistSnap) {}
 
 // Restore implements DirPredictor.
-func (p *Bimodal) Restore(s HistSnap) {}
+func (p *Bimodal) Restore(s *HistSnap) {}
 
 // OnSquash implements DirPredictor.
 func (p *Bimodal) OnSquash() {}
 
 // Train implements DirPredictor.
-func (p *Bimodal) Train(pc uint64, l Lookup, taken bool) {
+func (p *Bimodal) Train(pc uint64, l *Lookup, taken bool) {
 	p.ctrs[l.baseIdx] = counterUpdate(p.ctrs[l.baseIdx], taken, 1)
 }
 
@@ -64,9 +64,9 @@ func (p *Gshare) index(pc uint64, hist uint64) uint32 {
 }
 
 // Lookup implements DirPredictor.
-func (p *Gshare) Lookup(pc uint64) Lookup {
+func (p *Gshare) Lookup(pc uint64, l *Lookup) {
 	idx := p.index(pc, p.hist)
-	return Lookup{Pred: p.ctrs[idx] >= 0, baseIdx: idx, ghist: p.hist}
+	*l = Lookup{Pred: p.ctrs[idx] >= 0, baseIdx: idx, ghist: p.hist}
 }
 
 // OnFetchOutcome implements DirPredictor: speculative history update.
@@ -79,10 +79,10 @@ func (p *Gshare) OnFetchOutcome(pc uint64, taken bool) {
 }
 
 // Snapshot implements DirPredictor.
-func (p *Gshare) Snapshot() HistSnap { return HistSnap{ghist: p.hist} }
+func (p *Gshare) Snapshot(s *HistSnap) { s.ghist = p.hist }
 
 // Restore implements DirPredictor.
-func (p *Gshare) Restore(s HistSnap) { p.hist = s.ghist }
+func (p *Gshare) Restore(s *HistSnap) { p.hist = s.ghist }
 
 // OnSquash implements DirPredictor.
 func (p *Gshare) OnSquash() {}
@@ -90,7 +90,7 @@ func (p *Gshare) OnSquash() {}
 // Train implements DirPredictor. Training uses the history captured at
 // lookup time, so wrong-path pollution of the speculative history does not
 // corrupt table updates.
-func (p *Gshare) Train(pc uint64, l Lookup, taken bool) {
+func (p *Gshare) Train(pc uint64, l *Lookup, taken bool) {
 	p.ctrs[l.baseIdx] = counterUpdate(p.ctrs[l.baseIdx], taken, 1)
 }
 
@@ -107,19 +107,19 @@ func (p *Static) Name() string {
 }
 
 // Lookup implements DirPredictor.
-func (p *Static) Lookup(pc uint64) Lookup { return Lookup{Pred: p.Taken} }
+func (p *Static) Lookup(pc uint64, l *Lookup) { *l = Lookup{Pred: p.Taken} }
 
 // OnFetchOutcome implements DirPredictor.
 func (p *Static) OnFetchOutcome(pc uint64, taken bool) {}
 
 // Snapshot implements DirPredictor.
-func (p *Static) Snapshot() HistSnap { return HistSnap{} }
+func (p *Static) Snapshot(s *HistSnap) {}
 
 // Restore implements DirPredictor.
-func (p *Static) Restore(s HistSnap) {}
+func (p *Static) Restore(s *HistSnap) {}
 
 // OnSquash implements DirPredictor.
 func (p *Static) OnSquash() {}
 
 // Train implements DirPredictor.
-func (p *Static) Train(pc uint64, l Lookup, taken bool) {}
+func (p *Static) Train(pc uint64, l *Lookup, taken bool) {}

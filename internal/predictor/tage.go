@@ -141,9 +141,8 @@ func min32(a, b uint32) uint32 {
 }
 
 // Lookup implements DirPredictor.
-func (p *ISLTAGE) Lookup(pc uint64) Lookup {
-	var l Lookup
-	l.provider, l.altTable = -1, -1
+func (p *ISLTAGE) Lookup(pc uint64, l *Lookup) {
+	*l = Lookup{provider: -1, altTable: -1}
 	l.baseIdx = uint32(pc^pc>>2) & p.baseMask
 	l.basePred = p.base[l.baseIdx] >= 0
 
@@ -220,7 +219,6 @@ func (p *ISLTAGE) Lookup(pc uint64) Lookup {
 			l.Pred = l.loopPred
 		}
 	}
-	return l
 }
 
 func (p *ISLTAGE) loopIndex(pc uint64) uint32 { return uint32(pc>>2^pc) & p.loopMask }
@@ -259,8 +257,8 @@ func (p *ISLTAGE) OnFetchOutcome(pc uint64, taken bool) {
 }
 
 // Snapshot implements DirPredictor.
-func (p *ISLTAGE) Snapshot() HistSnap {
-	s := HistSnap{pos: p.pos, path: p.path}
+func (p *ISLTAGE) Snapshot(s *HistSnap) {
+	s.pos, s.path = p.pos, p.path
 	for t := 0; t < numTables; t++ {
 		s.foldIdx[t] = p.foldIdx[t].comp
 		s.foldTag1[t] = p.foldTag1[t].comp
@@ -268,11 +266,10 @@ func (p *ISLTAGE) Snapshot() HistSnap {
 	}
 	s.scFold[0] = p.scFold[0].comp
 	s.scFold[1] = p.scFold[1].comp
-	return s
 }
 
 // Restore implements DirPredictor.
-func (p *ISLTAGE) Restore(s HistSnap) {
+func (p *ISLTAGE) Restore(s *HistSnap) {
 	p.pos, p.path = s.pos, s.path
 	for t := 0; t < numTables; t++ {
 		p.foldIdx[t].comp = s.foldIdx[t]
@@ -293,7 +290,7 @@ func (p *ISLTAGE) OnSquash() {
 }
 
 // Train implements DirPredictor.
-func (p *ISLTAGE) Train(pc uint64, l Lookup, taken bool) {
+func (p *ISLTAGE) Train(pc uint64, l *Lookup, taken bool) {
 	// Loop predictor update.
 	p.trainLoop(pc, l, taken)
 
@@ -369,7 +366,7 @@ func (p *ISLTAGE) Train(pc uint64, l Lookup, taken bool) {
 	}
 }
 
-func (p *ISLTAGE) allocate(l Lookup, taken bool) {
+func (p *ISLTAGE) allocate(l *Lookup, taken bool) {
 	start := int(l.provider + 1)
 	// Find candidate tables with u == 0; prefer a random one among the
 	// shorter eligible histories (standard TAGE uses a skewed choice).
@@ -410,7 +407,7 @@ func (p *ISLTAGE) allocate(l Lookup, taken bool) {
 	}
 }
 
-func (p *ISLTAGE) trainLoop(pc uint64, l Lookup, taken bool) {
+func (p *ISLTAGE) trainLoop(pc uint64, l *Lookup, taken bool) {
 	le := &p.loop[p.loopIndex(pc)]
 	tag := p.loopTag(pc)
 	if le.valid && le.tag == tag {

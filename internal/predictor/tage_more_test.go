@@ -15,15 +15,17 @@ func TestTAGEAllocatesOnMispredict(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		// Branch 0x80 repeats the previous outcome of branch 0x40.
 		a := rng.Intn(2) == 0
-		l := p.Lookup(0x40)
+		var l Lookup
+		p.Lookup(0x40, &l)
 		p.OnFetchOutcome(0x40, a)
-		p.Train(0x40, l, a)
-		l2 := p.Lookup(0x80)
+		p.Train(0x40, &l, a)
+		var l2 Lookup
+		p.Lookup(0x80, &l2)
 		if l2.provider >= 0 {
 			sawProvider = true
 		}
 		p.OnFetchOutcome(0x80, last)
-		p.Train(0x80, l2, last)
+		p.Train(0x80, &l2, last)
 		last = a
 	}
 	if !sawProvider {
@@ -38,7 +40,8 @@ func TestTAGEPeriodicPatternLearned(t *testing.T) {
 	correct, total := 0, 0
 	for i := 0; i < 8000; i++ {
 		taken := i%4 != 3
-		l := p.Lookup(0x200)
+		var l Lookup
+		p.Lookup(0x200, &l)
 		if i > 4000 {
 			total++
 			if l.Pred == taken {
@@ -46,7 +49,7 @@ func TestTAGEPeriodicPatternLearned(t *testing.T) {
 			}
 		}
 		p.OnFetchOutcome(0x200, taken)
-		p.Train(0x200, l, taken)
+		p.Train(0x200, &l, taken)
 	}
 	if acc := float64(correct) / float64(total); acc < 0.98 {
 		t.Errorf("period-4 accuracy = %.3f, want >= 0.98", acc)
@@ -65,21 +68,23 @@ func TestLoopPredictorVariableTrips(t *testing.T) {
 	for round := 0; round < 400; round++ {
 		trips := 3 + rng.Intn(5)
 		for j := 0; j < trips; j++ {
-			l := p.Lookup(0x300)
+			var l Lookup
+			p.Lookup(0x300, &l)
 			total++
 			if !l.Pred {
 				bodyMis++ // predicted exit during the body
 			}
 			p.OnFetchOutcome(0x300, true)
-			p.Train(0x300, l, true)
+			p.Train(0x300, &l, true)
 		}
-		l := p.Lookup(0x300)
+		var l Lookup
+		p.Lookup(0x300, &l)
 		total++
 		if l.Pred {
 			mis++ // missed the exit (expected: exits are random)
 		}
 		p.OnFetchOutcome(0x300, false)
-		p.Train(0x300, l, false)
+		p.Train(0x300, &l, false)
 	}
 	// Exits are genuinely unpredictable, but the heavily-biased body
 	// direction must stay well predicted: a confident-but-wrong loop
@@ -91,17 +96,20 @@ func TestLoopPredictorVariableTrips(t *testing.T) {
 }
 
 // TestHistSnapValueSemantics: snapshots are values; mutating the predictor
-// after taking one must not alter it.
+// after taking one must not alter it, and restoring from a copy rolls the
+// history back to the original.
 func TestHistSnapValueSemantics(t *testing.T) {
 	p := NewISLTAGE()
 	for i := 0; i < 100; i++ {
 		p.OnFetchOutcome(uint64(i), i%3 == 0)
 	}
-	s1 := p.Snapshot()
+	var s1 HistSnap
+	p.Snapshot(&s1)
 	s2 := s1 // copy
 	p.OnFetchOutcome(4096, true)
-	p.Restore(s2)
-	after := p.Snapshot()
+	p.Restore(&s2)
+	var after HistSnap
+	p.Snapshot(&after)
 	if after != s1 {
 		t.Error("restored snapshot differs from the original")
 	}

@@ -42,11 +42,11 @@ type SweepStatus struct {
 	Failed    int    `json:"failed"`
 	// Simulated counts completions that ran fresh (neither cache nor
 	// store hits) — the denominator of the ETA estimate.
-	Simulated   int    `json:"simulated"`
-	StoreHits   int    `json:"storeHits"`
-	CacheHits   int    `json:"cacheHits"`
-	Running     bool   `json:"running"`
-	ElapsedSec  float64 `json:"elapsedSec"`
+	Simulated  int     `json:"simulated"`
+	StoreHits  int     `json:"storeHits"`
+	CacheHits  int     `json:"cacheHits"`
+	Running    bool    `json:"running"`
+	ElapsedSec float64 `json:"elapsedSec"`
 	// ETASec estimates time to sweep completion from simulated-only
 	// completions (store and cache hits are near-instant and would skew
 	// a naive per-spec average); -1 when there is no basis yet.
@@ -59,11 +59,11 @@ type Status struct {
 	StartedAt time.Time `json:"startedAt"`
 	UptimeSec float64   `json:"uptimeSec"`
 
-	Sweeps     uint64       `json:"sweeps"`
-	SpecsDone  uint64       `json:"specsDone"`
-	Faults     uint64       `json:"faults"`
-	Sweep      *SweepStatus `json:"sweep,omitempty"`
-	InFlight   []string     `json:"inFlight,omitempty"`
+	Sweeps     uint64           `json:"sweeps"`
+	SpecsDone  uint64           `json:"specsDone"`
+	Faults     uint64           `json:"faults"`
+	Sweep      *SweepStatus     `json:"sweep,omitempty"`
+	InFlight   []string         `json:"inFlight,omitempty"`
 	Runner     *harness.Metrics `json:"runner,omitempty"`
 	Store      *store.Metrics   `json:"store,omitempty"`
 	Journal    *JournalStatus   `json:"journal,omitempty"`
