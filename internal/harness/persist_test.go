@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"cfd/internal/config"
@@ -108,15 +109,15 @@ func TestStoreResumesPartialSweep(t *testing.T) {
 	}
 
 	b := openTestStore(t, dir)
-	var simulated int
-	testOnSimulate = func(RunSpec) { simulated++ }
+	var simulated atomic.Int64 // bumped by concurrent workers
+	testOnSimulate = func(RunSpec) { simulated.Add(1) }
 	defer func() { testOnSimulate = nil }()
 	got, err := b.Sweep(context.Background(), specs)
 	if err != nil {
 		t.Fatalf("resumed sweep: %v", err)
 	}
-	if simulated != len(specs)-2 {
-		t.Fatalf("resumed sweep simulated %d cells, want %d", simulated, len(specs)-2)
+	if n := simulated.Load(); n != int64(len(specs)-2) {
+		t.Fatalf("resumed sweep simulated %d cells, want %d", n, len(specs)-2)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("resumed sweep results differ from uninterrupted run")
@@ -368,8 +369,15 @@ func TestStoreDrainPersistsInFlightRuns(t *testing.T) {
 		t.Fatalf("store entries after drain = %d, want 1", n)
 	}
 	b := openTestStore(t, dir)
-	var simulated []string
-	testOnSimulate = func(rs RunSpec) { simulated = append(simulated, rs.Workload) }
+	var (
+		mu        sync.Mutex // the hook runs on concurrent workers
+		simulated []string
+	)
+	testOnSimulate = func(rs RunSpec) {
+		mu.Lock()
+		simulated = append(simulated, rs.Workload)
+		mu.Unlock()
+	}
 	defer func() { testOnSimulate = nil }()
 	if _, err := b.Sweep(context.Background(), specs); err != nil {
 		t.Fatal(err)

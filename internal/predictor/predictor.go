@@ -47,13 +47,8 @@ type Lookup struct {
 // sufficient to roll back to a branch or checkpoint. One struct covers all
 // predictor kinds; each kind writes and reads only the fields it uses.
 type HistSnap struct {
-	pos      uint32
-	path     uint32
-	foldIdx  [numTables]uint32
-	foldTag1 [numTables]uint32
-	foldTag2 [numTables]uint32
-	scFold   [2]uint32
-	ghist    uint64
+	tage  tageHist
+	ghist uint64
 }
 
 // DirPredictor predicts conditional branch directions.
@@ -68,7 +63,7 @@ type HistSnap struct {
 // filled at fetch.
 //
 // Lookup, Snapshot, Restore and Train take pointers so the caller's storage
-// is written and read in place: a Lookup or HistSnap is 100-odd bytes, and
+// is written and read in place: a Lookup is 96 bytes and a HistSnap 88, and
 // the pipeline makes these calls for every fetched branch. Lookup overwrites
 // all of *l. Snapshot writes only the fields its own Restore reads, so a
 // snapshot must be restored into the predictor that took it.

@@ -1,5 +1,7 @@
 package predictor
 
+import "math/bits"
+
 // ISLTAGE is an ISL-TAGE-class predictor (Seznec, CBP3): a TAGE predictor
 // (bimodal base table plus tagged tables indexed with geometrically
 // increasing global history lengths) augmented with a loop predictor and a
@@ -10,40 +12,49 @@ package predictor
 // recovery. Tables are trained at retirement using the indices and tags
 // captured at prediction time.
 type ISLTAGE struct {
-	// Base bimodal table.
-	base     []int8
-	baseMask uint32
+	h    tageHist
+	geom [numTables]tageGeom
 
-	// Tagged tables.
-	tables    [numTables][]tageEntry
-	histLens  [numTables]uint32
-	tableMask uint32
-	tagMask   uint16
-
-	// Speculative global history: a circular bit buffer plus folded
-	// registers per table (index fold, two tag folds).
-	hist     []uint8
-	histMask uint32
-	pos      uint32
-	path     uint32
-	foldIdx  [numTables]folded
-	foldTag1 [numTables]folded
-	foldTag2 [numTables]folded
-
-	// Statistical corrector: bias table plus two history-indexed tables.
-	scTables [3][]int8
-	scMask   uint32
-	scFold   [2]folded
-	scLens   [2]uint32
-	scThresh int32
-
-	// Loop predictor.
-	loop     []loopEntry
-	loopMask uint32
+	// Fetched outcomes, one per byte, as a circular buffer: the folds
+	// read the bit leaving each table's history window from here.
+	hist [tageHistBuf]uint8
 
 	useAltOnNA int8
 	tick       uint32
 	rng        lfsr
+
+	// Loop predictor, plus the set of entries whose specIter may differ
+	// from retiredIter: every entry outside it has them equal.
+	loop      [1 << loopLogTable]loopEntry
+	loopDirty [(1 << loopLogTable) / 64]uint64
+
+	base     [1 << tageLogBase]int8
+	tables   [numTables][1 << tageLogTable]tageEntry
+	scTables [3][1 << scLogTable]int8 // statistical corrector: bias plus two history-indexed tables
+}
+
+// tageHist is the speculative history state that Snapshot saves and
+// Restore rolls back.
+//
+// Each tagged table's three folds of the global history (Seznec's
+// circular-shift registers) share one word, 16 bits apart: the index fold
+// (tageLogTable bits) at bit 0, the first tag fold (tageTagBits) at bit 16
+// and the second (tageTagBits-1) at bit 32. Every lane has at least four
+// spare bits above it, so one shift, XOR and mask step all three lanes
+// without a carry crossing from one into the next. The statistical
+// corrector's two index folds share sc the same way, at bits 0 and scLane.
+type tageHist struct {
+	fold [numTables]uint64
+	sc   uint64
+	pos  uint32 // next slot of hist
+	path uint32 // low PC bit of the last 16 fetched branches
+}
+
+// tageGeom is a tagged table's fixed history geometry.
+type tageGeom struct {
+	histLen  uint32
+	pathMask uint32 // the path bits the index uses: min(histLen, 16)
+	outMask  uint64 // per fold lane, the bit (histLen % lane width) that the outcome leaving the history is XORed into
 }
 
 type tageEntry struct {
@@ -62,102 +73,73 @@ type loopEntry struct {
 	valid       bool
 }
 
-type folded struct {
-	comp     uint32
-	compLen  uint32
-	origLen  uint32
-	outPoint uint32
-}
-
-func newFolded(origLen, compLen uint32) folded {
-	return folded{compLen: compLen, origLen: origLen, outPoint: origLen % compLen}
-}
-
-func (f *folded) update(newBit, oldBit uint32) {
-	f.comp = f.comp<<1 | newBit
-	f.comp ^= oldBit << f.outPoint
-	f.comp ^= f.comp >> f.compLen
-	f.comp &= 1<<f.compLen - 1
-}
-
 const (
 	tageLogBase  = 14 // 16K-entry bimodal base
 	tageLogTable = 10 // 1K entries per tagged table
 	tageTagBits  = 12
 	tageHistBuf  = 4096 // must exceed max in-flight branches plus max history
 	scLogTable   = 10
+	scThresh     = 6
 	loopLogTable = 7
 	loopConfMax  = 7
+
+	// Fold lanes of tageHist.fold: lane offsets, a 1 at the bottom of
+	// each lane, and each lane's width mask.
+	idxLane  = 0
+	tag1Lane = 16
+	tag2Lane = 32
+	foldOnes = 1<<idxLane | 1<<tag1Lane | 1<<tag2Lane
+	foldMask = (1<<tageLogTable-1)<<idxLane | (1<<tageTagBits-1)<<tag1Lane | (1<<(tageTagBits-1)-1)<<tag2Lane
+
+	// The statistical corrector's folds: history lengths, and lanes at
+	// bits 0 and scLane of tageHist.sc.
+	scHist0 = 16
+	scHist1 = 64
+	scLane  = 16
+	scOnes  = 1 | 1<<scLane
+	scMask  = (1<<scLogTable - 1) * scOnes
 )
+
+// tageHistLens are the tagged tables' geometric history lengths.
+var tageHistLens = [numTables]uint32{4, 9, 19, 40, 80, 160, 320, 640}
 
 // NewISLTAGE returns the default ISL-TAGE configuration (roughly the 64KB
 // CBP3 budget class).
 func NewISLTAGE() *ISLTAGE {
-	p := &ISLTAGE{
-		base:      make([]int8, 1<<tageLogBase),
-		baseMask:  1<<tageLogBase - 1,
-		tableMask: 1<<tageLogTable - 1,
-		tagMask:   1<<tageTagBits - 1,
-		hist:      make([]uint8, tageHistBuf),
-		histMask:  tageHistBuf - 1,
-		scMask:    1<<scLogTable - 1,
-		scLens:    [2]uint32{16, 64},
-		scThresh:  6,
-		loop:      make([]loopEntry, 1<<loopLogTable),
-		loopMask:  1<<loopLogTable - 1,
-		rng:       lfsr(0x2545f491),
+	p := &ISLTAGE{rng: lfsr(0x2545f491)}
+	for t, n := range tageHistLens {
+		p.geom[t] = tageGeom{
+			histLen:  n,
+			pathMask: 1<<min(n, 16) - 1,
+			outMask:  1<<(idxLane+n%tageLogTable) | 1<<(tag1Lane+n%tageTagBits) | 1<<(tag2Lane+n%(tageTagBits-1)),
+		}
 	}
-	p.histLens = [numTables]uint32{4, 9, 19, 40, 80, 160, 320, 640}
-	for i := 0; i < numTables; i++ {
-		p.tables[i] = make([]tageEntry, 1<<tageLogTable)
-		p.foldIdx[i] = newFolded(p.histLens[i], tageLogTable)
-		p.foldTag1[i] = newFolded(p.histLens[i], tageTagBits)
-		p.foldTag2[i] = newFolded(p.histLens[i], tageTagBits-1)
-	}
-	for i := range p.scTables {
-		p.scTables[i] = make([]int8, 1<<scLogTable)
-	}
-	p.scFold[0] = newFolded(p.scLens[0], scLogTable)
-	p.scFold[1] = newFolded(p.scLens[1], scLogTable)
 	return p
 }
 
 // Name implements DirPredictor.
 func (p *ISLTAGE) Name() string { return "isl-tage" }
 
-func (p *ISLTAGE) index(pc uint64, t int) uint32 {
-	return (uint32(pc) ^ uint32(pc>>2) ^ uint32(pc>>(5+t)) ^ p.foldIdx[t].comp ^ (p.path & (1<<min32(p.histLens[t], 16) - 1))) & p.tableMask
-}
-
-func (p *ISLTAGE) tag(pc uint64, t int) uint16 {
-	return uint16(uint32(pc)^p.foldTag1[t].comp^(p.foldTag2[t].comp<<1)) & p.tagMask
-}
-
-func min32(a, b uint32) uint32 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Lookup implements DirPredictor.
 func (p *ISLTAGE) Lookup(pc uint64, l *Lookup) {
 	*l = Lookup{provider: -1, altTable: -1}
-	l.baseIdx = uint32(pc^pc>>2) & p.baseMask
+	l.baseIdx = uint32(pc^pc>>2) & (1<<tageLogBase - 1)
 	l.basePred = p.base[l.baseIdx] >= 0
 
-	for t := 0; t < numTables; t++ {
-		l.indices[t] = p.index(pc, t)
-		l.tags[t] = p.tag(pc, t)
-	}
-	// Longest and second-longest matching tables.
+	// Index and tag every table, walking down from the longest history:
+	// the first tag match provides, the second is the alternate. Each
+	// lane is read with a constant shift; the final masks drop the lanes
+	// above it (the second tag fold enters shifted left by one).
 	for t := numTables - 1; t >= 0; t-- {
-		if p.tables[t][l.indices[t]].tag == l.tags[t] {
+		f := p.h.fold[t]
+		idx := (uint32(pc) ^ uint32(pc>>2) ^ uint32(pc>>(5+t)) ^ uint32(f>>idxLane) ^ p.h.path&p.geom[t].pathMask) & (1<<tageLogTable - 1)
+		tag := uint16(uint32(pc)^uint32(f>>tag1Lane)^uint32(f>>(tag2Lane-1))) & (1<<tageTagBits - 1)
+		l.indices[t], l.tags[t] = idx, tag
+		if p.tables[t][idx].tag == tag {
 			if l.provider < 0 {
 				l.provider = int8(t)
-			} else {
+			} else if l.altTable < 0 {
 				l.altTable = int8(t)
-				break
 			}
 		}
 	}
@@ -184,9 +166,9 @@ func (p *ISLTAGE) Lookup(pc uint64, l *Lookup) {
 	l.Pred = l.tagePred
 
 	// Statistical corrector: consulted when the provider is weak.
-	l.scIdx[0] = uint32(pc) & p.scMask
-	l.scIdx[1] = (uint32(pc) ^ p.scFold[0].comp) & p.scMask
-	l.scIdx[2] = (uint32(pc>>2) ^ p.scFold[1].comp) & p.scMask
+	l.scIdx[0] = uint32(pc) & (1<<scLogTable - 1)
+	l.scIdx[1] = (uint32(pc) ^ uint32(p.h.sc)) & (1<<scLogTable - 1)
+	l.scIdx[2] = (uint32(pc>>2) ^ uint32(p.h.sc>>scLane)) & (1<<scLogTable - 1)
 	var sum int32
 	for i, idx := range l.scIdx {
 		sum += 2*int32(p.scTables[i][idx]) + 1
@@ -197,7 +179,7 @@ func (p *ISLTAGE) Lookup(pc uint64, l *Lookup) {
 		l.scSum = -sum
 	}
 	if l.weak || l.provider < 0 {
-		if l.scSum < -p.scThresh {
+		if l.scSum < -scThresh {
 			l.usedSC = true
 			l.Pred = !l.tagePred
 		}
@@ -221,8 +203,11 @@ func (p *ISLTAGE) Lookup(pc uint64, l *Lookup) {
 	}
 }
 
-func (p *ISLTAGE) loopIndex(pc uint64) uint32 { return uint32(pc>>2^pc) & p.loopMask }
+func (p *ISLTAGE) loopIndex(pc uint64) uint32 { return uint32(pc>>2^pc) & (1<<loopLogTable - 1) }
 func (p *ISLTAGE) loopTag(pc uint64) uint16   { return uint16(pc>>9) & 0x3fff }
+
+// markLoop adds loop entry i to the set OnSquash resyncs.
+func (p *ISLTAGE) markLoop(i uint32) { p.loopDirty[i/64] |= 1 << (i % 64) }
 
 // OnFetchOutcome implements DirPredictor: pushes the front-end outcome into
 // the speculative history and advances the loop predictor's speculative
@@ -232,60 +217,54 @@ func (p *ISLTAGE) OnFetchOutcome(pc uint64, taken bool) {
 	if taken {
 		bit = 1
 	}
-	p.hist[p.pos&p.histMask] = bit
-	for t := 0; t < numTables; t++ {
-		old := uint32(p.hist[(p.pos-p.histLens[t])&p.histMask])
-		p.foldIdx[t].update(uint32(bit), old)
-		p.foldTag1[t].update(uint32(bit), old)
-		p.foldTag2[t].update(uint32(bit), old)
+	h := &p.h
+	p.hist[h.pos%tageHistBuf] = bit
+	// Per fold: shift the new bit in, XOR out the bit leaving the
+	// history, and fold the bit shifted past the top back into bit 0.
+	in := -uint64(bit)
+	for t := range h.fold {
+		out := -uint64(p.hist[(h.pos-p.geom[t].histLen)%tageHistBuf])
+		f := h.fold[t]<<1 | in&foldOnes
+		f ^= out & p.geom[t].outMask
+		f ^= f>>tageLogTable&(1<<idxLane) | f>>tageTagBits&(1<<tag1Lane) | f>>(tageTagBits-1)&(1<<tag2Lane)
+		h.fold[t] = f & foldMask
 	}
-	for i := range p.scFold {
-		old := uint32(p.hist[(p.pos-p.scLens[i])&p.histMask])
-		p.scFold[i].update(uint32(bit), old)
-	}
-	p.pos++
-	p.path = (p.path<<1 | uint32(pc)&1) & 0xffff
+	sc := h.sc<<1 | in&scOnes
+	sc ^= uint64(p.hist[(h.pos-scHist0)%tageHistBuf])<<(scHist0%scLogTable) |
+		uint64(p.hist[(h.pos-scHist1)%tageHistBuf])<<(scLane+scHist1%scLogTable)
+	sc ^= sc >> scLogTable & scOnes
+	h.sc = sc & scMask
+	h.pos++
+	h.path = (h.path<<1 | uint32(pc)&1) & 0xffff
 
-	le := &p.loop[p.loopIndex(pc)]
+	i := p.loopIndex(pc)
+	le := &p.loop[i]
 	if le.valid && le.tag == p.loopTag(pc) {
 		if taken == le.dir {
 			le.specIter++
 		} else {
 			le.specIter = 0
 		}
+		p.markLoop(i)
 	}
 }
 
 // Snapshot implements DirPredictor.
-func (p *ISLTAGE) Snapshot(s *HistSnap) {
-	s.pos, s.path = p.pos, p.path
-	for t := 0; t < numTables; t++ {
-		s.foldIdx[t] = p.foldIdx[t].comp
-		s.foldTag1[t] = p.foldTag1[t].comp
-		s.foldTag2[t] = p.foldTag2[t].comp
-	}
-	s.scFold[0] = p.scFold[0].comp
-	s.scFold[1] = p.scFold[1].comp
-}
+func (p *ISLTAGE) Snapshot(s *HistSnap) { s.tage = p.h }
 
 // Restore implements DirPredictor.
-func (p *ISLTAGE) Restore(s *HistSnap) {
-	p.pos, p.path = s.pos, s.path
-	for t := 0; t < numTables; t++ {
-		p.foldIdx[t].comp = s.foldIdx[t]
-		p.foldTag1[t].comp = s.foldTag1[t]
-		p.foldTag2[t].comp = s.foldTag2[t]
-	}
-	p.scFold[0].comp = s.scFold[0]
-	p.scFold[1].comp = s.scFold[1]
-}
+func (p *ISLTAGE) Restore(s *HistSnap) { p.h = s.tage }
 
 // OnSquash implements DirPredictor: resynchronizes the loop predictor's
 // speculative iteration counters with retired state (they are too large to
-// checkpoint per branch).
+// checkpoint per branch). Only entries in the dirty set can differ.
 func (p *ISLTAGE) OnSquash() {
-	for i := range p.loop {
-		p.loop[i].specIter = p.loop[i].retiredIter
+	for w, m := range p.loopDirty {
+		for ; m != 0; m &= m - 1 {
+			le := &p.loop[w*64+bits.TrailingZeros64(m)]
+			le.specIter = le.retiredIter
+		}
+		p.loopDirty[w] = 0
 	}
 }
 
@@ -296,7 +275,7 @@ func (p *ISLTAGE) Train(pc uint64, l *Lookup, taken bool) {
 
 	// Statistical corrector update: train whenever it was consulted
 	// territory (weak provider) or it flipped the prediction.
-	if l.usedSC || ((l.weak || l.provider < 0) && (l.scSum >= -p.scThresh && l.scSum <= p.scThresh)) {
+	if l.usedSC || ((l.weak || l.provider < 0) && (l.scSum >= -scThresh && l.scSum <= scThresh)) {
 		for i, idx := range l.scIdx {
 			want := taken
 			c := p.scTables[i][idx]
@@ -335,8 +314,6 @@ func (p *ISLTAGE) Train(pc uint64, l *Lookup, taken bool) {
 			}
 		}
 		// Usefulness: provider differed from alt and was right/wrong.
-		provPred := e.ctr >= 0
-		_ = provPred
 		if l.tagePred != l.altPred {
 			if l.tagePred == taken {
 				if e.u < 3 {
@@ -407,8 +384,12 @@ func (p *ISLTAGE) allocate(l *Lookup, taken bool) {
 	}
 }
 
+// trainLoop updates the loop predictor at retirement. Every write that can
+// leave retiredIter != specIter marks the entry for OnSquash; the others
+// zero both.
 func (p *ISLTAGE) trainLoop(pc uint64, l *Lookup, taken bool) {
-	le := &p.loop[p.loopIndex(pc)]
+	i := p.loopIndex(pc)
+	le := &p.loop[i]
 	tag := p.loopTag(pc)
 	if le.valid && le.tag == tag {
 		if l.loopValid {
@@ -428,6 +409,7 @@ func (p *ISLTAGE) trainLoop(pc uint64, l *Lookup, taken bool) {
 		}
 		if taken == le.dir {
 			le.retiredIter++
+			p.markLoop(i)
 			if le.retiredIter == 0 { // overflow: give up on this loop
 				le.valid = false
 			}
