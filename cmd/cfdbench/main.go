@@ -13,7 +13,6 @@
 //	cfdbench -verify             # cross-check every run against the emulator
 //	cfdbench -json out.json      # export every run as schema-versioned JSON
 //	cfdbench -store dir          # persist results on disk; resume sweeps
-//	cfdbench -speed out.json     # wall-clock throughput (MIPS) benchmark
 //	cfdbench -keep-going         # run every simulation even when some fault
 //	cfdbench -max-cycles N       # per-run watchdog cycle budget
 //	cfdbench -deadline 5m        # per-run watchdog wall-clock deadline
@@ -47,18 +46,22 @@
 //
 // -metrics prints one stderr line per completed simulation — status, the
 // Runner's cumulative cache hit rate, and an ETA for the current sweep —
-// without touching stdout, which stays a deterministic artifact. The
-// end-of-run cache totals print on stderr regardless.
+// without touching stdout, which stays a deterministic artifact. The lines
+// are derived from the journal's event stream (an in-memory bus when no
+// -journal file is asked for), and the ETA is the one -listen's /status
+// reports. They print as the journal's writer delivers them, so one may
+// land after its experiment's timing line. The end-of-run cache totals
+// print on stderr regardless.
 //
 // -json - streams the document to stdout; the experiment tables then move
 // to stderr so stdout carries exactly one machine-parseable JSON document,
 // whatever other flags (-metrics, -keep-going) are set.
 //
-// -trace-out lays every memoized run end to end on a virtual timeline (one
-// span per sweep cell, as wide as its simulated cycles, annotated with
-// cache hits and fault outcome) in Chrome trace-event JSON for
-// ui.perfetto.dev; like the stdout tables, the trace is byte-identical for
-// any -jobs value.
+// -trace-out renders the journal's spec_done events as a virtual timeline
+// (one span per distinct spec, laid end to end in key order, as wide as
+// its simulated cycles, annotated with the spec's in-sweep cache hits and
+// fault outcome) in Chrome trace-event JSON for ui.perfetto.dev; like the
+// stdout tables, the trace is byte-identical for any -jobs value.
 //
 // -journal records a crash-safe, schema-versioned JSONL event journal of
 // the campaign: sweep lifecycle, per-spec submit/start/done with result
@@ -68,7 +71,7 @@
 // dedicated writer, so the sweep never stalls on journal I/O, and every
 // durable event is flushed as written — a SIGKILLed run's journal replays
 // exactly the completions that reached the store (validate it with
-// `go run ./internal/obs/journal/validate -store <dir> <journal>`).
+// `go run ./internal/obs/validate -store <dir> <journal>`).
 // -journal-sorted rewrites the file on exit into its canonical sorted
 // replay, which is byte-identical across -jobs settings.
 //
@@ -108,6 +111,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -142,6 +146,7 @@ func main() {
 // run is main with its context, streams, and exit code lifted out so tests
 // can drive the binary end to end and decode what lands on stdout.
 func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
+	stderr = &syncWriter{w: stderr}
 	fs := flag.NewFlagSet("cfdbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -154,8 +159,6 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		list         = fs.Bool("list", false, "list experiments")
 		jsonPath     = fs.String("json", "", "write every run's counters, CPI stack, and energy as JSON to this path ('-' = stdout)")
 		storeDir     = fs.String("store", "", "persist results to this on-disk store; reruns resume, re-simulating only missing or corrupt cells")
-		speedPath    = fs.String("speed", "", "run the wall-clock throughput benchmark and write its JSON to this path ('-' = stdout)")
-		speedRuns    = fs.Int("speed-runs", 0, "median-of-K width for -speed (0 = default)")
 		cpuProfile   = fs.String("cpuprofile", "", "write a CPU profile to this path")
 		memProfile   = fs.String("memprofile", "", "write a heap profile to this path on exit")
 
@@ -236,10 +239,6 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		return errorf("-manifest-expand requires -manifest")
 	}
 
-	if *speedPath != "" {
-		return runSpeed(*speedPath, *speedRuns, stdout, stderr)
-	}
-
 	var exps []*harness.Experiment
 	if mf == nil {
 		if *exp == "all" {
@@ -277,15 +276,13 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		}
 		r.Store = st
 	}
-	if *metrics {
-		pp := &progressPrinter{r: r, w: stderr}
-		r.OnProgress = pp.report
-	}
 
 	// Observability wiring: the journal bus exists whenever anything wants
-	// the event stream — a -journal file sink, a -listen /status tracker,
-	// or a -host-sample feed. Everything hangs off the same bus so the
-	// file, the live server, and the samples all see one event order.
+	// the event stream — a -journal file sink, the -metrics lines, the
+	// -trace-out timeline, a -listen /status tracker, or a -host-sample
+	// feed. Everything hangs off the same bus so the file, the progress
+	// lines, the trace, the live server, and the samples all see one event
+	// order, and -metrics and /status share one tracker and so one ETA.
 	var jr *journal.Journal
 	if *journalPath != "" {
 		j, err := journal.Open(*journalPath, "cfdbench")
@@ -293,9 +290,11 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 			return errorf("%v", err)
 		}
 		jr = j
-	} else if *listenAddr != "" || *hostSample > 0 {
+	} else if *metrics || *traceOut != "" || *listenAddr != "" || *hostSample > 0 {
 		jr = journal.New("cfdbench")
 	}
+	var tr *serve.Tracker
+	var specsDone []journal.Event // -trace-out's input; read only after jr.Close
 	if jr != nil {
 		r.Journal = jr
 		defer jr.Close()
@@ -306,6 +305,20 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 			r.Store.OnRetry = func() {
 				jr.TryEmit(journal.Event{Type: journal.StoreRetry})
 			}
+		}
+		if *metrics || *listenAddr != "" {
+			tr = serve.NewTracker()
+			jr.Subscribe(tr.Observe)
+		}
+		if *metrics {
+			jr.Subscribe(progressLine(r, tr, stderr))
+		}
+		if *traceOut != "" {
+			jr.Subscribe(func(ev journal.Event) {
+				if ev.Type == journal.SpecDone {
+					specsDone = append(specsDone, ev)
+				}
+			})
 		}
 	}
 	var sampler *obs.HostSampler
@@ -323,8 +336,6 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 			defer sampler.Stop()
 		}
 		if *listenAddr != "" {
-			tr := serve.NewTracker()
-			jr.Subscribe(tr.Observe)
 			srv = serve.New("cfdbench", reg, tr)
 			srv.Runner = r
 			srv.Journal = jr
@@ -427,10 +438,10 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	}
 
 	// Finalize the journal before the export document is built, so the
-	// document's journal section reports the final event count and the
-	// file on disk is complete (Close is idempotent; the defer is the
-	// early-error backstop). The sampler stops first — no samples after
-	// the trailer.
+	// document's journal section reports the final event count, the file
+	// on disk is complete, and every subscriber has seen its last event
+	// (Close is idempotent; the defer is the early-error backstop). The
+	// sampler stops first — no samples after the trailer.
 	if jr != nil {
 		sampler.Stop()
 		if err := jr.Close(); err != nil {
@@ -465,7 +476,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if *traceOut != "" {
-		if err := r.Trace().WriteFile(*traceOut); err != nil {
+		if err := journal.Trace(specsDone).WriteFile(*traceOut); err != nil {
 			return errorf("%v", err)
 		}
 	}
@@ -505,60 +516,59 @@ func manifestName(m *manifest.Manifest, path string) string {
 	return path
 }
 
-// progressPrinter streams one stderr line per completed simulation. The
-// Runner serializes calls, so the fields need no extra locking; a sweep
-// restart is detected by the counter resetting to 1.
-type progressPrinter struct {
-	r     *harness.Runner
-	w     io.Writer
-	start time.Time
-	// simDone counts this sweep's fresh simulations — the ETA estimator's
-	// denominator. Cache and store hits complete near-instantly, so
-	// averaging over them would collapse the estimate on a resumed sweep
-	// and make the ETA jump when the resumed prefix ends.
-	simDone int
+// progressLine returns the -metrics journal subscriber: one stderr line
+// per spec_done, numbered and timed by the tracker's view of the current
+// sweep (subscribe tr first, so it has already folded the event in).
+func progressLine(r *harness.Runner, tr *serve.Tracker, w io.Writer) func(journal.Event) {
+	return func(ev journal.Event) {
+		if ev.Type != journal.SpecDone {
+			return
+		}
+		sw := tr.Snapshot().Sweep
+		if sw == nil {
+			return
+		}
+		m := r.Metrics()
+		hitRate := 0.0
+		if m.Lookups > 0 {
+			hitRate = float64(m.CacheHits) / float64(m.Lookups)
+		}
+		status := "ok"
+		if ev.Status == "fault" {
+			status = "FAIL"
+		}
+		// With a store attached, say how many cache misses were restored
+		// from disk instead of simulated — the live view of a resumed sweep.
+		stored := ""
+		if r.Store != nil {
+			stored = fmt.Sprintf("  store hits %d", r.Store.Metrics().Hits)
+		}
+		fmt.Fprintf(w, "  [%d/%d] %-48s %-4s  hit rate %3.0f%%%s  eta %s\n",
+			sw.Completed, sw.Total,
+			fmt.Sprintf("%s/%s @ %s", ev.Workload, ev.Variant, ev.Config),
+			status, 100*hitRate, stored, etaText(sw))
+	}
 }
 
-func (p *progressPrinter) report(ev harness.ProgressEvent) {
-	if ev.Completed == 1 {
-		p.start = time.Now()
-		p.simDone = 0
-	}
-	if !ev.CacheHit && !ev.StoreHit {
-		p.simDone++
-	}
-	eta := etaString(time.Since(p.start), p.simDone, ev.Completed, ev.Total)
-	m := p.r.Metrics()
-	hitRate := 0.0
-	if m.Lookups > 0 {
-		hitRate = float64(m.CacheHits) / float64(m.Lookups)
-	}
-	status := "ok"
-	if ev.Err != nil {
-		status = "FAIL"
-	}
-	// With a store attached, say how many cache misses were restored from
-	// disk instead of simulated — the live view of a resumed sweep.
-	stored := ""
-	if p.r.Store != nil {
-		stored = fmt.Sprintf("  store hits %d", p.r.Store.Metrics().Hits)
-	}
-	fmt.Fprintf(p.w, "  [%d/%d] %-48s %-4s  hit rate %3.0f%%%s  eta %s\n",
-		ev.Completed, ev.Total,
-		fmt.Sprintf("%s/%s @ %s", ev.Spec.Workload, ev.Spec.Variant, ev.Spec.Config.Name),
-		status, 100*hitRate, stored, eta)
-}
-
-// etaString estimates time to sweep completion from fresh simulations
-// only: elapsed / simDone gives the per-simulation cost, times the specs
-// still outstanding. Monotone-safe on resumed sweeps — a run that opens
-// with thousands of near-instant store hits reports "-" until the first
-// real simulation lands, instead of a wildly optimistic figure that
-// balloons once fresh work starts.
-func etaString(elapsed time.Duration, simDone, completed, total int) string {
-	if simDone <= 0 || completed >= total {
+// etaText renders a sweep's ETA for a -metrics line: the tracker's
+// estimate rounded to 100ms, or "-" while it has no basis for one.
+func etaText(sw *serve.SweepStatus) string {
+	if sw.ETASec < 0 {
 		return "-"
 	}
-	per := elapsed / time.Duration(simDone)
-	return (per * time.Duration(total-completed)).Round(100 * time.Millisecond).String()
+	return time.Duration(sw.ETASec * float64(time.Second)).Round(100 * time.Millisecond).String()
+}
+
+// syncWriter serializes writes to w: journal subscribers (the -metrics
+// lines) print from the journal's writer goroutine while the main
+// goroutine reports on the same stream.
+type syncWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (s *syncWriter) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.w.Write(p)
 }

@@ -8,7 +8,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -16,6 +18,7 @@ import (
 	"cfd/internal/export"
 	"cfd/internal/harness"
 	"cfd/internal/obs/journal"
+	"cfd/internal/serve"
 )
 
 // TestJSONStdoutPurity pins the `-json -` contract: whatever other flags
@@ -47,47 +50,6 @@ func TestJSONStdoutPurity(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "hit rate") {
 		t.Error("-metrics progress lines missing from stderr")
-	}
-}
-
-// TestSpeedWorkDeterminism pins the -speed work/host split: two separate
-// invocations must agree byte-for-byte on the simulated-work section and
-// may differ only in the wall-clock host section.
-func TestSpeedWorkDeterminism(t *testing.T) {
-	speed := func() *harness.SpeedDoc {
-		var stdout, stderr bytes.Buffer
-		code := run(context.Background(), []string{"-speed", "-", "-speed-runs", "1"}, &stdout, &stderr)
-		if code != 0 {
-			t.Fatalf("exit %d\nstderr:\n%s", code, stderr.String())
-		}
-		var doc harness.SpeedDoc
-		if err := json.Unmarshal(stdout.Bytes(), &doc); err != nil {
-			t.Fatalf("stdout is not a speed document: %v", err)
-		}
-		return &doc
-	}
-
-	a, b := speed(), speed()
-	if a.Schema != harness.SpeedSchema || a.Version != harness.SpeedVersion {
-		t.Fatalf("schema %q v%d, want %q v%d", a.Schema, a.Version, harness.SpeedSchema, harness.SpeedVersion)
-	}
-	if len(a.Work) == 0 {
-		t.Fatal("speed document has no work rows")
-	}
-	if !reflect.DeepEqual(a.Work, b.Work) {
-		t.Errorf("simulated-work sections differ between runs\nfirst:  %+v\nsecond: %+v", a.Work, b.Work)
-	}
-	if len(a.Host.Rows) != len(a.Work) {
-		t.Fatalf("%d host rows for %d work rows", len(a.Host.Rows), len(a.Work))
-	}
-	for _, r := range a.Host.Rows {
-		if r.EmuSeconds <= 0 || r.PipeSeconds <= 0 {
-			t.Errorf("%s/%s: non-positive wall-clock (emu %g, pipe %g)",
-				r.Workload, r.Variant, r.EmuSeconds, r.PipeSeconds)
-		}
-	}
-	if a.Host.AggregateMIPS <= 0 {
-		t.Error("aggregate MIPS is non-positive")
 	}
 }
 
@@ -168,10 +130,11 @@ func TestStoreResumeConverges(t *testing.T) {
 	}
 }
 
-// TestEtaString pins the monotone-safe ETA estimator: a sweep with no
-// fresh simulations yet (the store-hit prefix of a resumed run) and a
-// finished sweep both report "-"; otherwise the estimate is the
-// per-simulation cost times the outstanding specs.
+// TestEtaString pins the ETA text of a -metrics line, from the tracker's
+// simulated-only estimate to its rendering: a sweep with no fresh
+// simulations yet (the store-hit prefix of a resumed run) and a finished
+// sweep both report "-"; otherwise the estimate is the per-simulation
+// cost times the outstanding specs.
 func TestEtaString(t *testing.T) {
 	cases := []struct {
 		elapsed                   time.Duration
@@ -187,8 +150,11 @@ func TestEtaString(t *testing.T) {
 		{4 * time.Second, 2, 10, 100, "3m0s"},
 	}
 	for i, tc := range cases {
-		if got := etaString(tc.elapsed, tc.simDone, tc.completed, tc.total); got != tc.want {
-			t.Errorf("case %d: etaString = %q, want %q", i, got, tc.want)
+		sw := serve.SweepStatus{Running: true, Total: tc.total, Completed: tc.completed,
+			Simulated: tc.simDone, ElapsedSec: tc.elapsed.Seconds()}
+		sw.ETASec = serve.ETA(sw)
+		if got := etaText(&sw); got != tc.want {
+			t.Errorf("case %d: etaText = %q, want %q", i, got, tc.want)
 		}
 	}
 }
@@ -283,6 +249,79 @@ func TestJournalSortedCanonical(t *testing.T) {
 	}
 	if bytes.Contains(a, []byte(`"seq"`)) || bytes.Contains(a, []byte(`"ts"`)) {
 		t.Error("sorted journal retains per-process seq/ts fields")
+	}
+}
+
+// TestTraceOutCanonical pins the -trace-out CLI contract: the sweep trace,
+// rendered from the journal, is byte-identical across -jobs settings.
+func TestTraceOutCanonical(t *testing.T) {
+	trace := func(jobs string) []byte {
+		path := filepath.Join(t.TempDir(), "sweeps.json")
+		var stdout, stderr bytes.Buffer
+		code := run(context.Background(), []string{"-exp", "fig18", "-scale", "0.05",
+			"-jobs", jobs, "-trace-out", path}, &stdout, &stderr)
+		if code != 0 {
+			t.Fatalf("exit %d\nstderr:\n%s", code, stderr.String())
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	a, b := trace("1"), trace("4")
+	if !bytes.Equal(a, b) {
+		t.Errorf("trace differs between -jobs 1 and -jobs 4:\n--- jobs=1\n%.2000s\n--- jobs=4\n%.2000s", a, b)
+	}
+	if !bytes.Contains(a, []byte(`"ph": "X"`)) {
+		t.Errorf("trace has no spans:\n%.2000s", a)
+	}
+}
+
+// TestMetricsLines pins the -metrics line format and its numbering: one
+// line per spec of each sweep, [1/N] through [N/N] once each.
+func TestMetricsLines(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run(context.Background(), []string{"-exp", "fig18,fig24", "-scale", "0.05", "-jobs", "2",
+		"-metrics", "-store", t.TempDir()}, &stdout, &stderr)
+	if code != 0 {
+		t.Fatalf("exit %d\nstderr:\n%s", code, stderr.String())
+	}
+	// "  [k/N] <label padded to 48> ok|FAIL  hit rate NN%  store hits N  eta <dur|->"
+	line := regexp.MustCompile(`^  \[(\d+)/(\d+)\] (\S+/\S+ @ .+?) (ok  |FAIL)  hit rate [ \d]{2}\d%  store hits \d+  eta (-|[0-9.hms]+)$`)
+	seen := map[string]int{} // "k/N" → count
+	totals := map[int]bool{}
+	for _, ln := range strings.Split(stderr.String(), "\n") {
+		if !strings.HasPrefix(ln, "  [") {
+			continue
+		}
+		m := line.FindStringSubmatch(ln)
+		if m == nil || len(m[3]) < 48 {
+			t.Errorf("malformed -metrics line %q", ln)
+			continue
+		}
+		seen[m[1]+"/"+m[2]]++
+		n, _ := strconv.Atoi(m[2])
+		totals[n] = true
+	}
+	if len(totals) == 0 {
+		t.Fatalf("no -metrics lines in:\n%s", stderr.String())
+	}
+	want := 0
+	for n := range totals {
+		want += n
+		for k := 1; k <= n; k++ {
+			if seen[fmt.Sprintf("%d/%d", k, n)] == 0 {
+				t.Errorf("no line [%d/%d]", k, n)
+			}
+		}
+	}
+	got := 0
+	for _, c := range seen {
+		got += c
+	}
+	if got != want {
+		t.Errorf("%d -metrics lines for sweeps totalling %d specs", got, want)
 	}
 }
 

@@ -427,7 +427,7 @@ func finishCampaign(rep *faultinject.Report, n int, jsonPath string) {
 // writeRunJournal records a single-run journal: the header, one
 // spec_done carrying the run's outcome, and the trailer — the
 // cfdsim-sized slice of the cfd-journal schema, validatable with the
-// same `go run ./internal/obs/journal/validate` tool as a sweep journal.
+// same `go run ./internal/obs/validate` tool as a sweep journal.
 func writeRunJournal(path string, spec harness.RunSpec, cycles, retired uint64, runErr error) error {
 	j, err := journal.Open(path, "cfdsim")
 	if err != nil {

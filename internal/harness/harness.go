@@ -66,11 +66,6 @@ type Runner struct {
 	// every simulation. Expiry surfaces as a WatchdogExpiry fault with a
 	// machine-state snapshot, not a hung sweep.
 	RunTimeout time.Duration
-	// OnProgress, when non-nil, is called after each spec a Sweep
-	// completes — cache hits and (with KeepGoing) failures included.
-	// Calls are serialized across workers; keep the callback fast, it
-	// runs on the sweep's critical path.
-	OnProgress func(ProgressEvent)
 	// Store, when non-nil, persists every completed result (and every
 	// memoized deterministic typed fault) across processes: a cache miss
 	// consults the store before simulating, so an interrupted sweep
@@ -155,9 +150,6 @@ type cacheEntry struct {
 	spec RunSpec
 	res  *Result
 	err  error
-	// hits counts lookups served by this entry (guarded by Runner.mu); the
-	// harness trace annotates each run's span with it.
-	hits uint64
 }
 
 // NewRunner returns a Runner at the given scale.
@@ -258,8 +250,7 @@ func (r *Runner) RunCtx(ctx context.Context, rs RunSpec) (*Result, error) {
 
 // runCtx is the memoizing core shared by RunCtx and Sweep. sweep is the
 // journal scope's sequence number (0 outside a journaled sweep); the
-// returned runInfo says how the result materialized, feeding the journal
-// and ProgressEvent.
+// returned runInfo says how the result materialized, feeding the journal.
 func (r *Runner) runCtx(ctx context.Context, rs RunSpec, sweep uint64) (*Result, error, runInfo) {
 	key := rs.key()
 	r.lookups.Add(1)
@@ -268,7 +259,6 @@ func (r *Runner) runCtx(ctx context.Context, rs RunSpec, sweep uint64) (*Result,
 		r.cache = make(map[string]*cacheEntry)
 	}
 	if e, ok := r.cache[key]; ok {
-		e.hits++
 		r.mu.Unlock()
 		r.cacheHits.Add(1)
 		select {
@@ -309,26 +299,10 @@ func (r *Runner) runCtx(ctx context.Context, rs RunSpec, sweep uint64) (*Result,
 // pure function of which specs have finished — the stable iteration order
 // is what makes the JSON export byte-identical for any Jobs setting.
 func (r *Runner) Results() []*Result {
-	r.mu.Lock()
-	entries := make(map[string]*cacheEntry, len(r.cache))
-	for k, e := range r.cache {
-		entries[k] = e
-	}
-	r.mu.Unlock()
-	keys := make([]string, 0, len(entries))
-	for k := range entries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]*Result, 0, len(keys))
-	for _, k := range keys {
-		e := entries[k]
-		select {
-		case <-e.done:
-			if e.err == nil && e.res != nil {
-				out = append(out, e.res)
-			}
-		default: // still simulating
+	out := make([]*Result, 0)
+	for _, e := range r.completed() {
+		if e.err == nil && e.res != nil {
+			out = append(out, e.res)
 		}
 	}
 	return out
@@ -346,25 +320,31 @@ type Failure struct {
 // the same stable order as Results, so the export document's faults section
 // is byte-identical for any Jobs setting.
 func (r *Runner) Failures() []Failure {
-	r.mu.Lock()
-	entries := make(map[string]*cacheEntry, len(r.cache))
-	for k, e := range r.cache {
-		entries[k] = e
+	out := make([]Failure, 0)
+	for _, e := range r.completed() {
+		if e.err != nil {
+			out = append(out, Failure{Spec: e.spec, Err: e.err})
+		}
 	}
-	r.mu.Unlock()
-	keys := make([]string, 0, len(entries))
-	for k := range entries {
+	return out
+}
+
+// completed snapshots the cache's finished entries in spec-key order;
+// entries still simulating are skipped.
+func (r *Runner) completed() []*cacheEntry {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	keys := make([]string, 0, len(r.cache))
+	for k := range r.cache {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	out := make([]Failure, 0)
+	out := make([]*cacheEntry, 0, len(keys))
 	for _, k := range keys {
-		e := entries[k]
+		e := r.cache[k]
 		select {
 		case <-e.done:
-			if e.err != nil {
-				out = append(out, Failure{Spec: e.spec, Err: e.err})
-			}
+			out = append(out, e)
 		default: // still simulating
 		}
 	}

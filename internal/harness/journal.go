@@ -23,7 +23,7 @@ import (
 // runInfo says how one runCtx call materialized its result: served by
 // the in-memory cache, restored from the persistent store, or simulated
 // fresh (and, fresh only, whether the completion persisted to the
-// store). It feeds both the journal and ProgressEvent.
+// store). It feeds the journal's spec_done event.
 type runInfo struct {
 	cacheHit bool
 	storeHit bool

@@ -1,113 +1,6 @@
 package harness
 
-import (
-	"errors"
-	"fmt"
-	"sort"
-	"sync"
-
-	"cfd/internal/fault"
-	"cfd/internal/obs"
-)
-
-// ProgressEvent reports one completed spec during a Sweep. Completed/Total
-// count within that sweep; Err is non-nil for failed specs (with KeepGoing,
-// the sweep continues past them). CacheHit/StoreHit say how the result
-// materialized — served from the in-memory cache, restored from the
-// persistent store, or (neither set) simulated fresh — so listeners can
-// base rate estimates on real simulations only.
-type ProgressEvent struct {
-	Spec      RunSpec
-	Err       error
-	Completed int
-	Total     int
-	CacheHit  bool
-	StoreHit  bool
-}
-
-// progressReporter builds the per-sweep completion callback: a serialized
-// counter feeding OnProgress, or a no-op when no listener is registered.
-func (r *Runner) progressReporter(total int) func(RunSpec, error, runInfo) {
-	if r.OnProgress == nil {
-		return func(RunSpec, error, runInfo) {}
-	}
-	var mu sync.Mutex
-	completed := 0
-	return func(rs RunSpec, err error, info runInfo) {
-		mu.Lock()
-		defer mu.Unlock()
-		completed++
-		r.OnProgress(ProgressEvent{
-			Spec: rs, Err: err, Completed: completed, Total: total,
-			CacheHit: info.cacheHit, StoreHit: info.storeHit,
-		})
-	}
-}
-
-// harness trace rows: a single "sweep" track under the harness process.
-const (
-	harnessTracePID = 1
-	harnessTraceTID = 1
-)
-
-// Trace renders every completed run as a Chrome/Perfetto span on a virtual
-// timeline: runs are laid end to end in spec-key order, each span as wide
-// as the run's simulated cycles. Wall-clock plays no part, so the trace is
-// byte-identical for any Jobs setting. Spans carry the run's cycles, IPC,
-// and per-spec cache-hit count; failed runs render on the "fault" category
-// with the fault kind.
-func (r *Runner) Trace() *obs.Trace {
-	type snap struct {
-		e    *cacheEntry
-		hits uint64
-	}
-	r.mu.Lock()
-	entries := make(map[string]snap, len(r.cache))
-	for k, e := range r.cache {
-		entries[k] = snap{e: e, hits: e.hits}
-	}
-	r.mu.Unlock()
-	keys := make([]string, 0, len(entries))
-	for k := range entries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
-	tr := obs.NewTrace()
-	tr.NameProcess(harnessTracePID, "cfd experiment harness")
-	tr.NameThread(harnessTracePID, harnessTraceTID, "sweep (virtual time)")
-	var ts uint64
-	for _, k := range keys {
-		s := entries[k]
-		select {
-		case <-s.e.done:
-		default: // still simulating
-			continue
-		}
-		spec := s.e.spec
-		name := fmt.Sprintf("%s/%s @ %s", spec.Workload, spec.Variant, spec.Config.Name)
-		args := map[string]interface{}{"cacheHits": s.hits}
-		cat := "run"
-		dur := uint64(1)
-		if s.e.err != nil {
-			cat = "fault"
-			kind := "error"
-			var f *fault.Fault
-			if errors.As(s.e.err, &f) {
-				kind = f.Kind.String()
-			}
-			args["fault"] = kind
-		} else {
-			st := &s.e.res.Stats
-			dur = st.Cycles
-			args["cycles"] = st.Cycles
-			args["ipc"] = float64(st.Retired) / float64(st.Cycles)
-		}
-		tr.Span(harnessTracePID, harnessTraceTID, name, cat, ts, dur, args)
-		ts += dur
-	}
-	return tr
-}
+import "cfd/internal/obs"
 
 // RegisterMetrics registers the Runner's cache counters as pull-based
 // probes. No-op on a nil registry.

@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"context"
 	"reflect"
-	"sync"
 	"testing"
 
 	"cfd/internal/config"
 	"cfd/internal/obs"
+	"cfd/internal/obs/journal"
 	"cfd/internal/workload"
 )
 
@@ -65,23 +65,41 @@ func TestRunnerSampledResult(t *testing.T) {
 	}
 }
 
-// TestSampledSweepDeterministic: telemetry sections and the harness trace
+// journaledSweep sweeps specs on a fresh Runner with a bus-only journal
+// attached and returns the Runner and every event the journal delivered.
+func journaledSweep(t *testing.T, jobs int, specs []RunSpec) (*Runner, []journal.Event) {
+	t.Helper()
+	j := journal.New("test")
+	var events []journal.Event
+	j.Subscribe(func(ev journal.Event) { events = append(events, ev) })
+	r := NewRunner(0.02)
+	r.Jobs = jobs
+	r.Journal = j
+	if _, err := r.Sweep(context.Background(), specs); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return r, events
+}
+
+// encodeTrace renders the journal's sweep trace.
+func encodeTrace(t *testing.T, events []journal.Event) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := journal.Trace(events).Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestSampledSweepDeterministic: telemetry sections and the sweep trace
 // are byte-identical whatever Jobs is set to.
 func TestSampledSweepDeterministic(t *testing.T) {
-	encode := func(jobs int) ([]*Result, []byte) {
-		r := NewRunner(0.02)
-		r.Jobs = jobs
-		if _, err := r.Sweep(context.Background(), obsSpecs()); err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := r.Trace().Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return r.Results(), buf.Bytes()
-	}
-	res1, tr1 := encode(1)
-	res8, tr8 := encode(8)
+	r1, ev1 := journaledSweep(t, 1, obsSpecs())
+	r8, ev8 := journaledSweep(t, 8, obsSpecs())
+	res1, res8 := r1.Results(), r8.Results()
 	if len(res1) != len(res8) {
 		t.Fatalf("result counts differ: %d vs %d", len(res1), len(res8))
 	}
@@ -93,100 +111,100 @@ func TestSampledSweepDeterministic(t *testing.T) {
 			t.Errorf("result %d: occupancy differs between -jobs=1 and -jobs=8", i)
 		}
 	}
-	if !bytes.Equal(tr1, tr8) {
-		t.Error("harness Perfetto trace differs between -jobs=1 and -jobs=8")
+	if !bytes.Equal(encodeTrace(t, ev1), encodeTrace(t, ev8)) {
+		t.Error("sweep Perfetto trace differs between -jobs=1 and -jobs=8")
 	}
 }
 
+// TestHarnessTrace: a sweep's journal renders as a valid Perfetto trace
+// whose spans carry the run's counters, and an in-sweep duplicate shows
+// as a cache hit on its spec's span.
 func TestHarnessTrace(t *testing.T) {
-	r := NewRunner(0.02)
-	specs := obsSpecs()
-	if _, err := r.Sweep(context.Background(), specs); err != nil {
-		t.Fatal(err)
+	specs := append(obsSpecs(), obsSpecs()[0])
+	_, events := journaledSweep(t, 2, specs)
+	trace := encodeTrace(t, events)
+	if _, err := obs.ValidateTrace(bytes.NewReader(trace)); err != nil {
+		t.Fatalf("sweep trace does not validate: %v", err)
 	}
-	// Re-run one spec so its span shows a cache hit.
-	if _, err := r.Run(specs[0]); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := r.Trace().Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := obs.ValidateTrace(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatalf("harness trace does not validate: %v", err)
-	}
-	out := buf.String()
 	for _, want := range []string{
 		`"cfd experiment harness"`, `"sweep (virtual time)"`,
 		`"bzip2like/base @ sandybridge-like"`, `"cacheHits": 1`, `"ipc"`,
 	} {
-		if !bytes.Contains(buf.Bytes(), []byte(want)) {
-			t.Errorf("trace missing %q in:\n%.2000s", want, out)
+		if !bytes.Contains(trace, []byte(want)) {
+			t.Errorf("trace missing %q in:\n%.2000s", want, trace)
 		}
+	}
+	if n := bytes.Count(trace, []byte(`"ph": "X"`)); n != len(obsSpecs()) {
+		t.Errorf("%d spans for %d distinct specs", n, len(obsSpecs()))
 	}
 }
 
+// TestSweepProgress pins the journal's progress record of a sweep, the
+// source of the -metrics [k/N] lines: the sweep_start carries the spec
+// count, each spec gets one spec_done inside the sweep, in arrival
+// order and without failure, and sweep_finish closes it with every
+// spec completed.
 func TestSweepProgress(t *testing.T) {
+	specs := obsSpecs()
 	for _, jobs := range []int{1, 4} {
-		r := NewRunner(0.02)
-		r.Jobs = jobs
-		var mu sync.Mutex
-		var events []ProgressEvent
-		r.OnProgress = func(ev ProgressEvent) {
-			mu.Lock()
-			events = append(events, ev)
-			mu.Unlock()
-		}
-		specs := obsSpecs()
-		if _, err := r.Sweep(context.Background(), specs); err != nil {
-			t.Fatal(err)
-		}
-		if len(events) != len(specs) {
-			t.Fatalf("jobs=%d: %d progress events for %d specs", jobs, len(events), len(specs))
-		}
-		for i, ev := range events {
-			if ev.Completed != i+1 || ev.Total != len(specs) {
-				t.Errorf("jobs=%d: event %d = %d/%d, want %d/%d",
-					jobs, i, ev.Completed, ev.Total, i+1, len(specs))
+		_, events := journaledSweep(t, jobs, specs)
+		var sweep, lastSeq uint64
+		done, finished := 0, false
+		for _, ev := range events {
+			if ev.Seq <= lastSeq {
+				t.Errorf("jobs=%d: event seq %d after %d", jobs, ev.Seq, lastSeq)
 			}
-			if ev.Err != nil {
-				t.Errorf("jobs=%d: unexpected failure for %s: %v", jobs, ev.Spec.Workload, ev.Err)
+			lastSeq = ev.Seq
+			switch ev.Type {
+			case journal.SweepStart:
+				if ev.Total != len(specs) {
+					t.Errorf("jobs=%d: sweep_start total %d, want %d", jobs, ev.Total, len(specs))
+				}
+				sweep = ev.Sweep
+			case journal.SpecDone:
+				done++
+				if ev.Sweep != sweep || sweep == 0 || finished {
+					t.Errorf("jobs=%d: spec_done %d/%d outside its sweep", jobs, done, len(specs))
+				}
+				if ev.Status != "ok" {
+					t.Errorf("jobs=%d: unexpected failure for %s: %s", jobs, ev.Workload, ev.Error)
+				}
+			case journal.SweepFinish:
+				finished = true
+				if ev.Completed != len(specs) || ev.Failed != 0 {
+					t.Errorf("jobs=%d: sweep_finish %d completed / %d failed, want %d / 0",
+						jobs, ev.Completed, ev.Failed, len(specs))
+				}
 			}
+		}
+		if done != len(specs) || !finished {
+			t.Errorf("jobs=%d: %d spec_done events for %d specs, sweep finished %v", jobs, done, len(specs), finished)
 		}
 	}
 }
 
-// TestSweepProgressCompleteness pins OnProgress under parallelism:
-// every submitted spec is observed exactly once (duplicates included),
-// the serialized Completed counter covers 1..N exactly, and the
-// cache-hit flags agree with the Runner's own metrics.
+// TestSweepProgressCompleteness pins the journal, a sweep's only
+// progress record, under parallelism: every submission (duplicates
+// included) gets exactly one spec_done, the cache-hit spec_done events
+// agree with the Runner's own metrics, and each distinct spec simulates
+// once.
 func TestSweepProgressCompleteness(t *testing.T) {
 	base := obsSpecs()
 	specs := append(append([]RunSpec{}, base...), base[0], base[1]) // dups → cache hits
 	for _, jobs := range []int{1, 8} {
-		r := NewRunner(0.02)
-		r.Jobs = jobs
-		var mu sync.Mutex
-		var events []ProgressEvent
-		r.OnProgress = func(ev ProgressEvent) {
-			mu.Lock()
-			events = append(events, ev)
-			mu.Unlock()
-		}
-		if _, err := r.Sweep(context.Background(), specs); err != nil {
-			t.Fatal(err)
-		}
-		if len(events) != len(specs) {
-			t.Fatalf("jobs=%d: %d progress events for %d specs", jobs, len(events), len(specs))
-		}
+		r, events := journaledSweep(t, jobs, specs)
 		perKey := map[string]int{}
+		for _, rs := range specs {
+			perKey[rs.key()]++
+		}
 		cacheHits := 0
-		seen := map[int]bool{}
 		for _, ev := range events {
-			perKey[ev.Spec.key()]++
-			seen[ev.Completed] = true
-			if ev.Total != len(specs) {
-				t.Errorf("jobs=%d: event total %d, want %d", jobs, ev.Total, len(specs))
+			if ev.Type != journal.SpecDone {
+				continue
+			}
+			perKey[ev.Key]--
+			if ev.Status != "ok" {
+				t.Errorf("jobs=%d: unexpected failure for %s: %s", jobs, ev.Key, ev.Error)
 			}
 			if ev.CacheHit {
 				cacheHits++
@@ -195,22 +213,14 @@ func TestSweepProgressCompleteness(t *testing.T) {
 				t.Errorf("jobs=%d: store hit reported without a store", jobs)
 			}
 		}
-		for i := 1; i <= len(specs); i++ {
-			if !seen[i] {
-				t.Errorf("jobs=%d: no event with Completed=%d", jobs, i)
-			}
-		}
-		for _, rs := range specs {
-			perKey[rs.key()]--
-		}
 		for k, n := range perKey {
 			if n != 0 {
-				t.Errorf("jobs=%d: spec %s observed %+d times vs submissions", jobs, k, n)
+				t.Errorf("jobs=%d: spec %s has %+d submissions without a spec_done", jobs, k, n)
 			}
 		}
 		m := r.Metrics()
 		if uint64(cacheHits) != m.CacheHits {
-			t.Errorf("jobs=%d: %d cache-hit progress events, runner counted %d", jobs, cacheHits, m.CacheHits)
+			t.Errorf("jobs=%d: %d cache-hit spec_done events, runner counted %d", jobs, cacheHits, m.CacheHits)
 		}
 		if m.Simulations != uint64(len(base)) {
 			t.Errorf("jobs=%d: %d simulations, want %d", jobs, m.Simulations, len(base))

@@ -32,14 +32,12 @@ func (r *Runner) Sweep(ctx context.Context, specs []RunSpec) ([]*Result, error) 
 	}
 	sw := r.beginSweep(len(specs), jobs)
 	defer sw.finish()
-	report := r.progressReporter(len(specs))
 	// runOne is the shared per-spec step: journal the submission, run,
-	// journal the terminal outcome, report progress.
+	// journal the terminal outcome.
 	runOne := func(ctx context.Context, rs RunSpec) (*Result, error) {
 		sw.submit(rs)
 		res, err, info := r.runCtx(ctx, rs, sw.id())
 		sw.done(rs, res, err, info)
-		report(rs, err, info)
 		return res, err
 	}
 	if jobs <= 1 {

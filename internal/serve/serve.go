@@ -22,6 +22,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"sort"
 	"sync"
 	"time"
 
@@ -121,8 +122,7 @@ func (t *Tracker) Observe(ev journal.Event) {
 		}
 		if s := t.cur; s != nil && s.Running {
 			s.Completed++
-			switch {
-			case ev.Status == "fault":
+			if ev.Status == "fault" {
 				s.Failed++
 			}
 			switch {
@@ -167,36 +167,28 @@ func (t *Tracker) Snapshot() Status {
 		if s.Running {
 			s.ElapsedSec = time.Since(t.sweepStart).Seconds()
 		}
-		s.ETASec = eta(s)
+		s.ETASec = ETA(s)
 		st.Sweep = &s
 	}
 	for k := range t.inFlight {
 		st.InFlight = append(st.InFlight, k)
 	}
-	sortStrings(st.InFlight)
+	sort.Strings(st.InFlight)
 	st.LastEvents = append(st.LastEvents, t.last...)
 	return st
 }
 
-// eta estimates seconds to completion from simulated-only completions:
+// ETA estimates seconds to completion from simulated-only completions:
 // elapsed / simulated gives the per-simulation cost, times the specs
 // still outstanding. Store and cache hits are excluded from the
 // denominator — they complete near-instantly and would collapse the
 // estimate on a resumed sweep. -1 means "no basis yet".
-func eta(s SweepStatus) float64 {
+func ETA(s SweepStatus) float64 {
 	if !s.Running || s.Completed >= s.Total || s.Simulated == 0 {
 		return -1
 	}
 	per := s.ElapsedSec / float64(s.Simulated)
 	return per * float64(s.Total-s.Completed)
-}
-
-func sortStrings(ss []string) {
-	for i := 1; i < len(ss); i++ {
-		for j := i; j > 0 && ss[j] < ss[j-1]; j-- {
-			ss[j], ss[j-1] = ss[j-1], ss[j]
-		}
-	}
 }
 
 // Server is the live observability endpoint for one CLI invocation.

@@ -87,14 +87,16 @@ func TestEta(t *testing.T) {
 		{SweepStatus{Running: true, Total: 10, Completed: 5, Simulated: 0, ElapsedSec: 10}, -1},
 		{SweepStatus{Running: false, Total: 10, Completed: 5, Simulated: 5, ElapsedSec: 10}, -1},
 		{SweepStatus{Running: true, Total: 10, Completed: 10, Simulated: 10, ElapsedSec: 10}, -1},
+		// Completed past Total: never a negative estimate.
+		{SweepStatus{Running: true, Total: 10, Completed: 12, Simulated: 10, ElapsedSec: 10}, -1},
 		// 10s / 5 simulated = 2s per sim, 5 outstanding → 10s.
 		{SweepStatus{Running: true, Total: 10, Completed: 5, Simulated: 5, ElapsedSec: 10}, 10},
 		// Resumed sweep: 8 store hits + 2 simulated in 4s → 2s/sim, 90 left → 180s.
 		{SweepStatus{Running: true, Total: 100, Completed: 10, Simulated: 2, StoreHits: 8, ElapsedSec: 4}, 180},
 	}
 	for i, tc := range cases {
-		if got := eta(tc.s); got != tc.want {
-			t.Errorf("case %d: eta = %v, want %v", i, got, tc.want)
+		if got := ETA(tc.s); got != tc.want {
+			t.Errorf("case %d: ETA = %v, want %v", i, got, tc.want)
 		}
 	}
 }
