@@ -150,7 +150,8 @@ func Workloads() []*Workload { return workload.All() }
 func WorkloadByName(name string) (*Workload, bool) { return workload.ByName(name) }
 
 // Simulate builds the named workload variant at size n (0 = the workload's
-// default size) and runs it to completion on the cycle-level core.
+// default size), compiled for cfg's queue capacities, and runs it to
+// completion on the cycle-level core with that config.
 func Simulate(name string, v Variant, cfg CoreConfig, n int64) (*Core, error) {
 	s, ok := workload.ByName(name)
 	if !ok {
@@ -159,15 +160,8 @@ func Simulate(name string, v Variant, cfg CoreConfig, n int64) (*Core, error) {
 	if n == 0 {
 		n = s.DefaultN
 	}
-	p, m, err := s.Build(v, n)
+	_, core, err := harness.Simulate(RunSpec{Workload: name, Variant: v, Config: cfg}, n, false, nil)
 	if err != nil {
-		return nil, err
-	}
-	core, err := pipeline.New(cfg, p, m)
-	if err != nil {
-		return nil, err
-	}
-	if err := core.Run(0); err != nil {
 		return nil, err
 	}
 	return core, nil

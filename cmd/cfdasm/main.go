@@ -49,7 +49,7 @@ func main() {
 	if *cycle {
 		var opts []pipeline.Option
 		if *pipeview > 0 {
-			opts = append(opts, pipeline.WithTrace(*pipeview))
+			opts = append(opts, pipeline.WithTraceWindow(0, *pipeview))
 		}
 		core, err := pipeline.New(config.SandyBridge(), p, image, opts...)
 		if err != nil {

@@ -57,12 +57,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
 	"cfd/internal/config"
-	"cfd/internal/emu"
-	"cfd/internal/energy"
 	"cfd/internal/export"
 	"cfd/internal/fault"
 	"cfd/internal/faultinject"
@@ -111,359 +110,313 @@ func occupancyChart(title string, q obs.QueueOccupancy) string {
 }
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its streams and exit code lifted out, so tests can drive
+// the command end to end. It returns 0 on success, 1 on a failed run or
+// campaign, and 2 on bad usage.
+func run(argv []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("cfdsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		name        = flag.String("workload", "soplexlike", "workload name (see -list)")
-		variant     = flag.String("variant", "base", "variant: base, cfd, cfd+, dfd, cfd+dfd, cfdtq, cfdbq, cfdbqtq")
-		n           = flag.Int64("n", 0, "input size in work items (0 = workload default)")
-		window      = flag.Int("window", 168, "ROB size (168 = paper baseline; larger windows scale IQ/LQ/SQ)")
-		depth       = flag.Int("depth", 10, "minimum fetch-to-execute latency in cycles")
-		bqmiss      = flag.String("bqmiss", "spec", "BQ miss policy: spec (speculative pop) or stall")
-		list        = flag.Bool("list", false, "list workloads and variants")
-		classify    = flag.Bool("classify", false, "print each kernel's separability class and per-transform accept/reject reasons")
-		dumpAsm     = flag.Bool("dump-asm", false, "print the program disassembly and exit")
-		branches    = flag.Bool("branches", false, "print per-static-branch statistics")
-		pipeview    = flag.Int("pipeview", 0, "trace N instructions and print a pipeline diagram")
-		verify      = flag.Bool("verify", false, "cross-check the retired state against the functional emulator")
-		jsonPath    = flag.String("json", "", "write the run's counters, CPI stack, and energy as JSON to this path ('-' = stdout)")
-		journalPath = flag.String("journal", "", "write a structured JSONL event journal of the run to this path")
+		name        = fs.String("workload", "soplexlike", "workload name (see -list)")
+		variant     = fs.String("variant", "base", "variant: base, cfd, cfd+, dfd, cfd+dfd, cfdtq, cfdbq, cfdbqtq")
+		n           = fs.Int64("n", 0, "input size in work items (0 = workload default)")
+		window      = fs.Int("window", 168, "ROB size (168 = paper baseline; larger windows scale IQ/LQ/SQ)")
+		depth       = fs.Int("depth", 10, "minimum fetch-to-execute latency in cycles")
+		bqmiss      = fs.String("bqmiss", "spec", "BQ miss policy: spec (speculative pop) or stall")
+		list        = fs.Bool("list", false, "list workloads and variants")
+		classify    = fs.Bool("classify", false, "print each kernel's separability class and per-transform accept/reject reasons")
+		dumpAsm     = fs.Bool("dump-asm", false, "print the program disassembly and exit")
+		branches    = fs.Bool("branches", false, "print per-static-branch statistics")
+		pipeview    = fs.Int("pipeview", 0, "trace N instructions and print a pipeline diagram")
+		verify      = fs.Bool("verify", false, "cross-check the retired state against the functional emulator")
+		jsonPath    = fs.String("json", "", "write the run's counters, CPI stack, and energy as JSON to this path ('-' = stdout)")
+		journalPath = fs.String("journal", "", "write a structured JSONL event journal of the run to this path")
 
-		maxCycles   = flag.Uint64("max-cycles", 0, "watchdog cycle budget for the run (0 = unlimited)")
-		deadline    = flag.Duration("deadline", 0, "watchdog wall-clock deadline for the run (0 = none)")
-		inject      = flag.Int("inject", 0, "run a fault-injection campaign of N corruptions instead of a simulation")
-		injectStore = flag.Int("inject-store", 0, "run a result-store corruption campaign of N corruptions instead of a simulation")
-		seed        = flag.Int64("seed", 1, "fault-injection campaign seed")
+		maxCycles   = fs.Uint64("max-cycles", 0, "watchdog cycle budget for the run (0 = unlimited)")
+		deadline    = fs.Duration("deadline", 0, "watchdog wall-clock deadline for the run (0 = none)")
+		inject      = fs.Int("inject", 0, "run a fault-injection campaign of N corruptions instead of a simulation")
+		injectStore = fs.Int("inject-store", 0, "run a result-store corruption campaign of N corruptions instead of a simulation")
+		seed        = fs.Int64("seed", 1, "fault-injection campaign seed")
 
-		sampleEvery = flag.Uint64("sample-every", 0, "sample IPC/stall/queue-occupancy telemetry every N cycles (0 = off)")
-		traceOut    = flag.String("trace-out", "", "write a Chrome/Perfetto trace of the run to this path ('-' = stdout)")
-		traceStart  = flag.Int("trace-start", 0, "skip N instructions before the trace window opens")
-		traceLimit  = flag.Int("trace-limit", 512, "trace window length in instructions (with -trace-out)")
+		sampleEvery = fs.Uint64("sample-every", 0, "sample IPC/stall/queue-occupancy telemetry every N cycles (0 = off)")
+		traceOut    = fs.String("trace-out", "", "write a Chrome/Perfetto trace of the run to this path ('-' = stdout)")
+		traceStart  = fs.Int("trace-start", 0, "skip N instructions before the trace window opens")
+		traceLimit  = fs.Int("trace-limit", 512, "trace window length in instructions (with -trace-out)")
 	)
-	flag.Parse()
+	if err := fs.Parse(argv); err != nil {
+		return 2
+	}
 
 	if *inject > 0 {
-		runCampaign(*inject, *seed, *jsonPath)
-		return
+		return runCampaign(stdout, stderr, *inject, *seed, *jsonPath)
 	}
 	if *injectStore > 0 {
-		runStoreCampaign(*injectStore, *seed, *jsonPath)
-		return
+		return runStoreCampaign(stdout, stderr, *injectStore, *seed, *jsonPath)
 	}
 
 	if *list {
 		for _, s := range workload.All() {
-			fmt.Printf("%-16s %-40s variants=%v defaultN=%d\n", s.Name, s.Analog, s.Variants, s.DefaultN)
+			fmt.Fprintf(stdout, "%-16s %-40s variants=%v defaultN=%d\n", s.Name, s.Analog, s.Variants, s.DefaultN)
 		}
-		return
+		return 0
 	}
 
 	if *classify {
 		only := ""
-		if isFlagSet("workload") {
-			only = *name
-		}
-		runClassify(only)
-		return
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "workload" {
+				only = *name
+			}
+		})
+		return runClassify(stdout, stderr, only)
 	}
 
 	s, ok := workload.ByName(*name)
 	if !ok {
-		fatalf("unknown workload %q (use -list)", *name)
+		return fatalf(stderr, "unknown workload %q (use -list)", *name)
 	}
 	size := *n
 	if size == 0 {
 		size = s.DefaultN
 	}
-	p, m, err := s.Build(workload.Variant(*variant), size)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	if *dumpAsm {
-		fmt.Print(p.Disassemble())
-		return
-	}
-
 	cfg := config.Scaled(*window).WithDepth(*depth)
 	if *bqmiss == "stall" {
 		cfg.BQMissPolicy = config.StallFetch
 	}
-	var popts []pipeline.Option
-	switch {
-	case *traceOut != "":
-		// A Perfetto trace wants steady state, so it gets the windowed
-		// capture; Pipeview renders from the same window when both are on.
-		popts = append(popts, pipeline.WithTraceWindow(*traceStart, *traceLimit))
-	case *pipeview > 0:
-		popts = append(popts, pipeline.WithTrace(*pipeview))
+	rs := harness.RunSpec{Workload: s.Name, Variant: workload.Variant(*variant), Config: cfg, SampleEvery: *sampleEvery}
+	if *dumpAsm {
+		p, _, err := s.BuildFor(cfg, rs.Variant, size)
+		if err != nil {
+			return fatalf(stderr, "%v", err)
+		}
+		fmt.Fprint(stdout, p.Disassemble())
+		return 0
 	}
-	if *sampleEvery > 0 {
-		popts = append(popts, pipeline.WithObserver(
-			obs.NewObserver(*sampleEvery, cfg.BQSize, cfg.VQSize, cfg.TQSize)))
+
+	// A Perfetto trace wants steady state, so it gets the windowed
+	// capture; Pipeview renders from the same window when both are on.
+	start, limit := *traceStart, *traceLimit
+	if *traceOut == "" {
+		start, limit = 0, *pipeview
 	}
+	var extra []pipeline.Option
+	if limit > 0 {
+		extra = append(extra, pipeline.WithTraceWindow(start, limit))
+	}
+	var wd *fault.Watchdog
 	if *maxCycles > 0 || *deadline > 0 {
-		popts = append(popts, pipeline.WithWatchdog(fault.WithTimeout(*maxCycles, *deadline)))
+		wd = fault.WithTimeout(*maxCycles, *deadline)
 	}
-	var init = m
-	if *verify {
-		init = m.Clone()
-	}
-	core, err := pipeline.New(cfg, p, m, popts...)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	if err := core.Run(0); err != nil {
-		// A faulting run still produces the JSON document, with the
-		// failure recorded as a structured fault.
-		if *jsonPath != "" {
-			spec := harness.RunSpec{Workload: s.Name, Variant: workload.Variant(*variant), Config: cfg}
-			doc := &export.Document{
-				Schema: export.Schema, Version: export.Version, Tool: "cfdsim",
-				Scale: 1, Verify: *verify,
-				Faults: []export.FaultRecord{export.FromFailure(harness.Failure{Spec: spec, Err: err})},
-			}
-			if werr := export.WriteFile(*jsonPath, doc); werr != nil {
-				fmt.Fprintf(os.Stderr, "cfdsim: %v\n", werr)
-			}
+	res, core, err := harness.Simulate(rs, size, *verify, wd, extra...)
+	if err == nil {
+		if *verify {
+			fmt.Fprintln(stdout, "verify          OK (retired state matches the functional emulator)")
 		}
-		// A faulted run's partial trace is still written: the last traced
-		// instructions usually show what wedged.
-		if *traceOut != "" {
-			core.FinishObservation()
-			if werr := core.PerfettoTrace().WriteFile(*traceOut); werr != nil {
-				fmt.Fprintf(os.Stderr, "cfdsim: %v\n", werr)
-			}
-		}
-		if *journalPath != "" {
-			spec := harness.RunSpec{Workload: s.Name, Variant: workload.Variant(*variant), Config: cfg}
-			if werr := writeRunJournal(*journalPath, spec, 0, 0, err); werr != nil {
-				fmt.Fprintf(os.Stderr, "cfdsim: %v\n", werr)
-			}
-		}
-		if f, ok := fault.As(err); ok {
-			fmt.Fprint(os.Stderr, f.Dump())
-			os.Exit(1)
-		}
-		fatalf("%v", err)
-	}
-	core.FinishObservation()
-	if *verify {
-		if err := emu.VerifyArch(p, init, core.ArchRegs(), core.Mem(), core.Stats.Retired,
-			emu.WithQueueSizes(cfg.BQSize, cfg.VQSize, cfg.TQSize)); err != nil {
-			fatalf("differential verification failed: %v", err)
-		}
-		fmt.Println("verify          OK (retired state matches the functional emulator)")
-	}
 
-	st := core.Stats
-	fmt.Printf("workload        %s/%s (n=%d) on %s\n", s.Name, *variant, size, cfg.Name)
-	fmt.Printf("cycles          %d\n", st.Cycles)
-	fmt.Printf("retired         %d (IPC %.3f)\n", st.Retired, st.IPC())
-	fmt.Printf("fetched         %d (wrong-path %d)\n", st.Fetched, st.Fetched-st.Retired)
-	fmt.Printf("cond branches   %d, mispredicts %d (MPKI %.2f)\n", st.CondBranches, st.Mispredicts, st.MPKI())
-	fmt.Printf("recoveries      %d resolve-time, %d retire-time\n", st.Recoveries, st.RetireRecoveries)
-	fmt.Printf("BQ              pops %d (fetch-resolved %d, spec %d, late mispredict %d)\n",
-		st.BQPops, st.BQResolvedAtFetch, st.BQMisses, st.BQLateMispredict)
-	fmt.Printf("BQ stalls       full %d cycles, miss %d cycles\n", st.BQFullStalls, st.BQMissStalls)
-	fmt.Printf("TQ              pops %d, TCR branches %d, miss stalls %d cycles\n",
-		st.TQPops, st.TCRBranches, st.TQMissStalls)
-	fmt.Printf("mispred levels  NoData %d, L1 %d, L2 %d, L3 %d, MEM %d\n",
-		st.MispredByLevel[0], st.MispredByLevel[1], st.MispredByLevel[2],
-		st.MispredByLevel[3], st.MispredByLevel[4])
-	fmt.Printf("energy          %.0f pJ total (%.0f dynamic, %.0f queue structures)\n",
-		core.Meter.Total(), core.Meter.Dynamic(), core.Meter.QueueEnergy())
+		st := res.Stats
+		fmt.Fprintf(stdout, "workload        %s/%s (n=%d) on %s\n", s.Name, *variant, size, cfg.Name)
+		fmt.Fprintf(stdout, "cycles          %d\n", st.Cycles)
+		fmt.Fprintf(stdout, "retired         %d (IPC %.3f)\n", st.Retired, st.IPC())
+		fmt.Fprintf(stdout, "fetched         %d (wrong-path %d)\n", st.Fetched, st.Fetched-st.Retired)
+		fmt.Fprintf(stdout, "cond branches   %d, mispredicts %d (MPKI %.2f)\n", st.CondBranches, st.Mispredicts, st.MPKI())
+		fmt.Fprintf(stdout, "recoveries      %d resolve-time, %d retire-time\n", st.Recoveries, st.RetireRecoveries)
+		fmt.Fprintf(stdout, "BQ              pops %d (fetch-resolved %d, spec %d, late mispredict %d)\n",
+			st.BQPops, st.BQResolvedAtFetch, st.BQMisses, st.BQLateMispredict)
+		fmt.Fprintf(stdout, "BQ stalls       full %d cycles, miss %d cycles\n", st.BQFullStalls, st.BQMissStalls)
+		fmt.Fprintf(stdout, "TQ              pops %d, TCR branches %d, miss stalls %d cycles\n",
+			st.TQPops, st.TCRBranches, st.TQMissStalls)
+		fmt.Fprintf(stdout, "mispred levels  NoData %d, L1 %d, L2 %d, L3 %d, MEM %d\n",
+			st.MispredByLevel[0], st.MispredByLevel[1], st.MispredByLevel[2],
+			st.MispredByLevel[3], st.MispredByLevel[4])
+		fmt.Fprintf(stdout, "energy          %.0f pJ total (%.0f dynamic, %.0f queue structures)\n",
+			res.EnergyTotal, res.EnergyDynamic, res.EnergyQueue)
 
-	fmt.Println()
-	if err := st.CPI.Check(st.Cycles); err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Println(st.CPI.Render("CPI stack (cycle attribution)", st.Retired))
+		fmt.Fprintln(stdout)
+		if cerr := st.CPI.Check(st.Cycles); cerr != nil {
+			return fatalf(stderr, "%v", cerr)
+		}
+		fmt.Fprintln(stdout, st.CPI.Render("CPI stack (cycle attribution)", st.Retired))
 
-	if o := core.Observer(); o != nil {
-		fmt.Printf("telemetry       %d samples every %d cycles\n\n", len(o.Samples), o.Every)
-		if occ := o.Occupancy(); occ != nil {
-			fmt.Print(occupancyChart("BQ occupancy", occ.BQ))
-			fmt.Print(occupancyChart("VQ occupancy", occ.VQ))
-			fmt.Print(occupancyChart("TQ occupancy", occ.TQ))
+		if o := core.Observer(); o != nil {
+			fmt.Fprintf(stdout, "telemetry       %d samples every %d cycles\n\n", len(o.Samples), o.Every)
+			if occ := o.Occupancy(); occ != nil {
+				fmt.Fprint(stdout, occupancyChart("BQ occupancy", occ.BQ))
+				fmt.Fprint(stdout, occupancyChart("VQ occupancy", occ.VQ))
+				fmt.Fprint(stdout, occupancyChart("TQ occupancy", occ.TQ))
+			}
 		}
 	}
 
+	// The artifacts are written for a failed run too: the failure lands in
+	// the document's faults section and in the journal, and the last
+	// traced instructions usually show what wedged.
+	code := 0
 	if *jsonPath != "" {
-		events := make(map[string]uint64)
-		for e := 0; e < energy.NumEvents; e++ {
-			if n := core.Meter.Counts[e]; n != 0 {
-				events[energy.Event(e).String()] = n
-			}
-		}
-		res := &harness.Result{
-			Spec: harness.RunSpec{Workload: s.Name, Variant: workload.Variant(*variant),
-				Config: cfg, SampleEvery: *sampleEvery},
-			Stats:         st,
-			EnergyTotal:   core.Meter.Total(),
-			EnergyDynamic: core.Meter.Dynamic(),
-			EnergyLeakage: core.Meter.Leakage(),
-			EnergyQueue:   core.Meter.QueueEnergy(),
-			EnergyEvents:  events,
-			MSHRHist:      core.Hierarchy().Hist,
-			Timeseries:    core.Observer().Timeseries(),
-			Occupancy:     core.Observer().Occupancy(),
-		}
 		doc := &export.Document{
 			Schema: export.Schema, Version: export.Version, Tool: "cfdsim",
 			Scale: 1, Verify: *verify,
-			Runs: []export.Run{export.FromResult(res)},
 		}
-		if err := export.WriteFile(*jsonPath, doc); err != nil {
-			fatalf("%v", err)
+		if err != nil {
+			doc.Faults = []export.FaultRecord{export.FromFailure(harness.Failure{Spec: rs, Err: err})}
+		} else {
+			doc.Runs = []export.Run{export.FromResult(res)}
+		}
+		if werr := writeDoc(stdout, *jsonPath, doc); werr != nil {
+			code = fatalf(stderr, "%v", werr)
 		}
 	}
-	if *traceOut != "" {
-		if err := core.PerfettoTrace().WriteFile(*traceOut); err != nil {
-			fatalf("%v", err)
+	if *traceOut != "" && core != nil {
+		if werr := core.PerfettoTrace().WriteFile(*traceOut); werr != nil {
+			code = fatalf(stderr, "%v", werr)
 		}
 	}
 	if *journalPath != "" {
-		spec := harness.RunSpec{Workload: s.Name, Variant: workload.Variant(*variant),
-			Config: cfg, SampleEvery: *sampleEvery}
-		if err := writeRunJournal(*journalPath, spec, st.Cycles, st.Retired, nil); err != nil {
-			fatalf("%v", err)
+		if werr := writeRunJournal(*journalPath, rs, res, err); werr != nil {
+			code = fatalf(stderr, "%v", werr)
 		}
+	}
+	if f, ok := fault.As(err); ok {
+		fmt.Fprint(stderr, f.Dump())
+		return 1
+	}
+	if err != nil {
+		return fatalf(stderr, "%v", err)
+	}
+	if code != 0 {
+		return code
 	}
 
 	if *branches {
-		fmt.Println("\nper-branch statistics (retired):")
-		pcs := make([]uint64, 0, len(st.PerBranch))
-		for pc := range st.PerBranch {
+		fmt.Fprintln(stdout, "\nper-branch statistics (retired):")
+		br := res.Stats.PerBranch
+		pcs := make([]uint64, 0, len(br))
+		for pc := range br {
 			pcs = append(pcs, pc)
 		}
+		// Most mispredicted first; ties in PC order, so the listing does
+		// not depend on map iteration order.
 		sort.Slice(pcs, func(i, j int) bool {
-			return st.PerBranch[pcs[i]].Mispredicts > st.PerBranch[pcs[j]].Mispredicts
+			if mi, mj := br[pcs[i]].Mispredicts, br[pcs[j]].Mispredicts; mi != mj {
+				return mi > mj
+			}
+			return pcs[i] < pcs[j]
 		})
+		p := core.Program()
 		for _, pc := range pcs {
-			bs := st.PerBranch[pc]
+			bs := br[pc]
 			name := p.At(pc).String()
 			if note, ok := p.Notes[pc]; ok {
 				name = note.Name
 			}
-			fmt.Printf("  pc %-6d %-40s execs %-9d taken %5.1f%%  missrate %5.2f%%\n",
+			fmt.Fprintf(stdout, "  pc %-6d %-40s execs %-9d taken %5.1f%%  missrate %5.2f%%\n",
 				pc, name, bs.Execs,
 				100*float64(bs.Taken)/float64(bs.Execs),
 				100*float64(bs.Mispredicts)/float64(bs.Execs))
 		}
 	}
 	if *pipeview > 0 {
-		fmt.Println()
-		fmt.Print(core.Pipeview())
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, core.Pipeview())
 	}
+	return 0
+}
+
+// writeDoc writes an export document to path ('-' = stdout).
+func writeDoc(stdout io.Writer, path string, doc *export.Document) error {
+	if path == "-" {
+		return export.Encode(stdout, doc)
+	}
+	return export.WriteFile(path, doc)
 }
 
 // runCampaign executes the seeded fault-injection campaign, prints the
-// summary, optionally writes the cfd-faultinject JSON report, and exits
-// nonzero when any injection went undetected.
-func runCampaign(n int, seed int64, jsonPath string) {
+// summary, optionally writes the cfd-faultinject JSON report, and returns a
+// nonzero exit code when any injection went undetected.
+func runCampaign(stdout, stderr io.Writer, n int, seed int64, jsonPath string) int {
 	rep, err := faultinject.Run(faultinject.Config{Seed: seed, Injections: n})
 	if err != nil {
-		fatalf("%v", err)
+		return fatalf(stderr, "%v", err)
 	}
-	fmt.Printf("fault injection  seed %d: %d injected, %d detected, %d missed (%d draws skipped)\n",
+	fmt.Fprintf(stdout, "fault injection  seed %d: %d injected, %d detected, %d missed (%d draws skipped)\n",
 		rep.Seed, rep.Injected, rep.Detected, rep.Missed, rep.Skipped)
 	for _, site := range faultinject.AllSites {
 		if st := rep.BySite[site]; st != nil {
-			fmt.Printf("  %-12s injected %4d  detected %4d  missed %4d\n",
+			fmt.Fprintf(stdout, "  %-12s injected %4d  detected %4d  missed %4d\n",
 				site, st.Injected, st.Detected, st.Missed)
 		}
 	}
-	finishCampaign(rep, n, jsonPath)
+	return finishCampaign(stdout, stderr, rep, n, jsonPath)
 }
 
 // runStoreCampaign executes the result-store corruption campaign: seeded
 // on-disk damage (torn writes, bit flips, truncation, stale schemas,
 // stripped checksums) to a populated store, each of which must be caught by
 // quarantine with the damaged sweep converging back to the golden results.
-// Exit status is nonzero when any corruption goes undetected.
-func runStoreCampaign(n int, seed int64, jsonPath string) {
+// The exit code is nonzero when any corruption goes undetected.
+func runStoreCampaign(stdout, stderr io.Writer, n int, seed int64, jsonPath string) int {
 	rep, err := faultinject.RunStore(faultinject.StoreConfig{Seed: seed, Injections: n})
 	if err != nil {
-		fatalf("%v", err)
+		return fatalf(stderr, "%v", err)
 	}
-	fmt.Printf("store corruption  seed %d: %d injected, %d detected, %d missed\n",
+	fmt.Fprintf(stdout, "store corruption  seed %d: %d injected, %d detected, %d missed\n",
 		rep.Seed, rep.Injected, rep.Detected, rep.Missed)
 	for _, site := range faultinject.AllStoreSites {
 		if st := rep.BySite[site]; st != nil {
-			fmt.Printf("  %-22s injected %4d  detected %4d  missed %4d\n",
+			fmt.Fprintf(stdout, "  %-22s injected %4d  detected %4d  missed %4d\n",
 				site, st.Injected, st.Detected, st.Missed)
 		}
 	}
-	finishCampaign(rep, n, jsonPath)
+	return finishCampaign(stdout, stderr, rep, n, jsonPath)
 }
 
-// finishCampaign writes the optional cfd-faultinject JSON report and exits
-// nonzero when any injection was missed or the campaign under-ran.
-func finishCampaign(rep *faultinject.Report, n int, jsonPath string) {
+// finishCampaign writes the optional cfd-faultinject JSON report and returns
+// a nonzero exit code when any injection was missed or the campaign
+// under-ran.
+func finishCampaign(stdout, stderr io.Writer, rep *faultinject.Report, n int, jsonPath string) int {
 	if jsonPath != "" {
 		data, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
-			fatalf("%v", err)
+			return fatalf(stderr, "%v", err)
 		}
 		data = append(data, '\n')
 		if jsonPath == "-" {
-			os.Stdout.Write(data)
-		} else if err := os.WriteFile(jsonPath, data, 0o644); err != nil {
-			fatalf("%v", err)
+			_, err = stdout.Write(data)
+		} else {
+			err = os.WriteFile(jsonPath, data, 0o644)
+		}
+		if err != nil {
+			return fatalf(stderr, "%v", err)
 		}
 	}
 	if rep.Missed > 0 {
 		for _, tr := range rep.Trials {
 			if tr.Outcome == faultinject.OutcomeMissed {
-				fmt.Fprintf(os.Stderr, "cfdsim: MISSED %s on %s at step %d: %s\n",
+				fmt.Fprintf(stderr, "cfdsim: MISSED %s on %s at step %d: %s\n",
 					tr.Site, tr.Victim, tr.Step, tr.Detail)
 			}
 		}
-		os.Exit(1)
+		return 1
 	}
 	if rep.Injected < n {
-		fatalf("only %d of %d requested injections applied", rep.Injected, n)
+		return fatalf(stderr, "only %d of %d requested injections applied", rep.Injected, n)
 	}
+	return 0
 }
 
 // writeRunJournal records a single-run journal: the header, one
 // spec_done carrying the run's outcome, and the trailer — the
 // cfdsim-sized slice of the cfd-journal schema, validatable with the
 // same `go run ./internal/obs/validate` tool as a sweep journal.
-func writeRunJournal(path string, spec harness.RunSpec, cycles, retired uint64, runErr error) error {
+func writeRunJournal(path string, rs harness.RunSpec, res *harness.Result, runErr error) error {
 	j, err := journal.Open(path, "cfdsim")
 	if err != nil {
 		return err
 	}
-	ev := journal.Event{
-		Type: journal.SpecDone, Key: spec.Key(),
-		Workload: spec.Workload, Variant: string(spec.Variant), Config: spec.Config.Name,
-	}
-	if runErr == nil {
-		ev.Status = "ok"
-		ev.Cycles = cycles
-		ev.Retired = retired
-		if cycles > 0 {
-			ev.IPC = float64(retired) / float64(cycles)
-		}
-	} else {
-		ev.Status = "fault"
-		ev.Error = runErr.Error()
-		if f, ok := fault.As(runErr); ok {
-			ev.Fault = f.Kind.String()
-		}
-	}
-	j.Emit(ev)
+	j.Emit(harness.SpecDone(rs, res, runErr))
 	return j.Close()
-}
-
-// isFlagSet reports whether the named flag was given on the command line.
-func isFlagSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
 }
 
 // runClassify prints the §II-B taxonomy: for every kernel-shaped workload
@@ -471,7 +424,7 @@ func isFlagSet(name string) bool {
 // each pass-pipeline transform, whether the kernel is accepted or why it
 // is rejected. Workloads that still hand-build their programs (the
 // classification-study set) have no kernel form to analyze.
-func runClassify(only string) {
+func runClassify(stdout, stderr io.Writer, only string) int {
 	found := false
 	for _, s := range workload.All() {
 		if only != "" && s.Name != only {
@@ -479,34 +432,36 @@ func runClassify(only string) {
 		}
 		found = true
 		if s.Kernel == nil {
-			fmt.Printf("%-16s hand-built (no kernel form; class %v)\n\n", s.Name, s.Class)
+			fmt.Fprintf(stdout, "%-16s hand-built (no kernel form; class %v)\n\n", s.Name, s.Class)
 			continue
 		}
 		f, _, err := s.Kernel(s.TestN)
 		if err != nil {
-			fatalf("%s: kernel: %v", s.Name, err)
+			return fatalf(stderr, "%s: kernel: %v", s.Name, err)
 		}
 		cls, clsErr := f.Classify()
-		fmt.Printf("%-16s class %v", s.Name, cls)
+		fmt.Fprintf(stdout, "%-16s class %v", s.Name, cls)
 		if clsErr != nil {
-			fmt.Printf(" (%v)", clsErr)
+			fmt.Fprintf(stdout, " (%v)", clsErr)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		for _, st := range xform.Acceptance(f, xform.DefaultParams()) {
 			if st.Err == nil {
-				fmt.Printf("  %-9s accept\n", st.Transform)
+				fmt.Fprintf(stdout, "  %-9s accept\n", st.Transform)
 			} else {
-				fmt.Printf("  %-9s reject — %v\n", st.Transform, st.Err)
+				fmt.Fprintf(stdout, "  %-9s reject — %v\n", st.Transform, st.Err)
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if !found {
-		fatalf("unknown workload %q (use -list)", only)
+		return fatalf(stderr, "unknown workload %q (use -list)", only)
 	}
+	return 0
 }
 
-func fatalf(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "cfdsim: "+format+"\n", args...)
-	os.Exit(1)
+// fatalf prints an error line to stderr and returns the failure exit code.
+func fatalf(stderr io.Writer, format string, args ...interface{}) int {
+	fmt.Fprintf(stderr, "cfdsim: "+format+"\n", args...)
+	return 1
 }

@@ -31,7 +31,7 @@ func main() {
 	fmt.Printf("emulator: retired %d, count(r5) = %d\n", em.Retired, em.Regs[5])
 
 	// Cycle-level run with tracing.
-	core, err := pipeline.New(cfd.Baseline(), p, cfd.NewMemory(), pipeline.WithTrace(16))
+	core, err := pipeline.New(cfd.Baseline(), p, cfd.NewMemory(), pipeline.WithTraceWindow(0, 16))
 	if err != nil {
 		log.Fatal(err)
 	}

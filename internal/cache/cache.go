@@ -270,18 +270,26 @@ func (h *Hierarchy) Prefetch(addr uint64, now uint64) {
 	h.Access(addr, now)
 }
 
-// Tick samples MSHR occupancy for the utilization histogram when enabled.
-func (h *Hierarchy) Tick(now uint64) {
+// Tick records cycles now through now+n-1 in the MSHR occupancy histogram
+// when sampling is enabled. No access may happen inside the span: the core
+// calls it once per cycle with n = 1, and once per idle-skipped span. A fill
+// can still complete inside a span (a prefetch's fill wakes nothing), so the
+// span is split at each outstanding fillAt.
+func (h *Hierarchy) Tick(now, n uint64) {
 	if !h.cfg.SampleMSHRs {
 		return
 	}
-	busy := 0
-	for i := range h.mshrs {
-		if h.mshrs[i].valid && h.mshrs[i].fillAt > now {
-			busy++
+	for end := now + n; now < end; {
+		busy, next := 0, end
+		for i := range h.mshrs {
+			if m := &h.mshrs[i]; m.valid && m.fillAt > now {
+				busy++
+				next = min(next, m.fillAt)
+			}
 		}
+		h.Hist[busy] += next - now
+		now = next
 	}
-	h.Hist[busy]++
 }
 
 // LevelStats reports accesses and misses for one level (1, 2, or 3).

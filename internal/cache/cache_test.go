@@ -1,6 +1,9 @@
 package cache
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func smallConfig() Config {
 	return Config{
@@ -114,8 +117,8 @@ func TestMSHRHistogramSampling(t *testing.T) {
 	h := New(cfg)
 	h.Access(0x4000, 0)
 	h.Access(0x5000, 0)
-	h.Tick(1)   // two outstanding
-	h.Tick(500) // both filled
+	h.Tick(1, 1)   // two outstanding
+	h.Tick(500, 1) // both filled
 	if h.Hist[2] != 1 {
 		t.Errorf("Hist[2] = %d, want 1", h.Hist[2])
 	}
@@ -124,10 +127,33 @@ func TestMSHRHistogramSampling(t *testing.T) {
 	}
 }
 
+// TestMSHRHistogramSpan: one Tick over a span of cycles in which fills
+// complete records exactly what ticking each cycle of it does.
+func TestMSHRHistogramSpan(t *testing.T) {
+	cfg := smallConfig()
+	cfg.SampleMSHRs = true
+	perCycle, span := New(cfg), New(cfg)
+	for _, h := range []*Hierarchy{perCycle, span} {
+		h.Access(0x4000, 0)
+		h.Access(0x5000, 40)
+		h.Prefetch(0x6000, 90)
+	}
+	for now := uint64(1); now < 1000; now++ {
+		perCycle.Tick(now, 1)
+	}
+	span.Tick(1, 999)
+	if !reflect.DeepEqual(perCycle.Hist, span.Hist) {
+		t.Errorf("span histogram %v, per-cycle %v", span.Hist, perCycle.Hist)
+	}
+	if perCycle.Hist[3] == 0 || perCycle.Hist[0] == 0 {
+		t.Errorf("span does not cover three outstanding fills and their completion: %v", perCycle.Hist)
+	}
+}
+
 func TestTickDisabledByDefault(t *testing.T) {
 	h := New(smallConfig())
 	h.Access(0x4000, 0)
-	h.Tick(1)
+	h.Tick(1, 1)
 	for _, v := range h.Hist {
 		if v != 0 {
 			t.Fatal("histogram sampled while disabled")

@@ -23,7 +23,7 @@ func (m *Machine) Observer() *obs.Observer { return m.obsv }
 
 func (m *Machine) obsTick() {
 	o := m.obsv
-	o.TickQueues(m.BQ.Len(), m.VQ.Len(), m.TQ.Len())
+	o.TickQueues(m.BQ.Len(), m.VQ.Len(), m.TQ.Len(), 1)
 	if o.Due(m.Retired) {
 		o.Record(m.intervalCounters())
 	}

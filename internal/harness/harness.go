@@ -393,11 +393,27 @@ func (r *Runner) simulate(rs RunSpec) (res *Result, err error) {
 	if !ok {
 		return nil, fmt.Errorf("harness: unknown workload %q", rs.Workload)
 	}
-	p, m, err := s.Build(rs.Variant, r.workloadN(s))
-	if err != nil {
-		return nil, err
+	res, _, err = Simulate(rs, r.workloadN(s), r.Verify, r.watchdog())
+	return res, err
+}
+
+// Simulate is the one step from a RunSpec to a simulated run, shared by the
+// Runner, cfdsim and cfd.Simulate. It builds rs's workload variant at input
+// size n, compiled for rs.Config, runs it to completion on a core with that
+// config, and, with verify set, cross-checks the retired state against the
+// functional emulator. wd, when non-nil, bounds the run and the oracle
+// pre-run of the perfect-prediction modes; extra options (a pipeline trace,
+// say) are applied to the core. The core is returned whenever one was
+// built, also after a failed run, so a caller can read its partial trace.
+func Simulate(rs RunSpec, n int64, verify bool, wd *fault.Watchdog, extra ...pipeline.Option) (*Result, *pipeline.Core, error) {
+	s, ok := workload.ByName(rs.Workload)
+	if !ok {
+		return nil, nil, fmt.Errorf("harness: unknown workload %q", rs.Workload)
 	}
-	wd := r.watchdog()
+	p, m, err := s.BuildFor(rs.Config, rs.Variant, n)
+	if err != nil {
+		return nil, nil, err
+	}
 
 	var opts []pipeline.Option
 	if wd != nil {
@@ -421,7 +437,7 @@ func (r *Runner) simulate(rs RunSpec) (res *Result, err error) {
 		}
 		em := emu.New(p, m.Clone(), emuOpts...)
 		if err := em.Run(500_000_000); err != nil {
-			return nil, fmt.Errorf("harness: oracle pre-run %s/%s: %w", rs.Workload, rs.Variant, err)
+			return nil, nil, fmt.Errorf("harness: oracle pre-run %s/%s: %w", rs.Workload, rs.Variant, err)
 		}
 		opts = append(opts, pipeline.WithOracle(oracle))
 		if rs.PerfectAll {
@@ -429,7 +445,7 @@ func (r *Runner) simulate(rs RunSpec) (res *Result, err error) {
 		}
 	}
 	var init *mem.Memory
-	if r.Verify {
+	if verify {
 		init = m.Clone()
 	}
 	cfg := rs.Config
@@ -439,25 +455,24 @@ func (r *Runner) simulate(rs RunSpec) (res *Result, err error) {
 		obsv = obs.NewObserver(rs.SampleEvery, cfg.BQSize, cfg.VQSize, cfg.TQSize)
 		opts = append(opts, pipeline.WithObserver(obsv))
 	}
-	core, err := pipeline.New(cfg, p, m, opts...)
+	core, err := pipeline.New(cfg, p, m, append(opts, extra...)...)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := core.Run(0); err != nil {
-		return nil, fmt.Errorf("harness: %s/%s on %s: %w", rs.Workload, rs.Variant, cfg.Name, err)
+		return nil, core, fmt.Errorf("harness: %s/%s on %s: %w", rs.Workload, rs.Variant, cfg.Name, err)
 	}
-	core.FinishObservation()
-	if r.Verify {
+	if verify {
 		if err := emu.VerifyArch(p, init, core.ArchRegs(), core.Mem(), core.Stats.Retired,
 			emu.WithQueueSizes(cfg.BQSize, cfg.VQSize, cfg.TQSize)); err != nil {
-			return nil, fmt.Errorf("harness: differential verification of %s/%s on %s: %w",
+			return nil, core, fmt.Errorf("harness: differential verification of %s/%s on %s: %w",
 				rs.Workload, rs.Variant, cfg.Name, err)
 		}
 	}
 	events := make(map[string]uint64)
 	for e := 0; e < energy.NumEvents; e++ {
-		if n := core.Meter.Counts[e]; n != 0 {
-			events[energy.Event(e).String()] = n
+		if cnt := core.Meter.Counts[e]; cnt != 0 {
+			events[energy.Event(e).String()] = cnt
 		}
 	}
 	return &Result{
@@ -471,7 +486,7 @@ func (r *Runner) simulate(rs RunSpec) (res *Result, err error) {
 		MSHRHist:      core.Hierarchy().Hist,
 		Timeseries:    obsv.Timeseries(),
 		Occupancy:     obsv.Occupancy(),
-	}, nil
+	}, core, nil
 }
 
 // Experiment regenerates one paper table or figure. Its simulation needs

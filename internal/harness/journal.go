@@ -83,45 +83,55 @@ func (s *sweepScope) done(rs RunSpec, res *Result, err error, info runInfo) {
 	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 		return
 	}
-	key := rs.key()
-	ev := journal.Event{
-		Type: journal.SpecDone, Sweep: s.seq, Key: key,
-		Workload: rs.Workload, Variant: string(rs.Variant), Config: rs.Config.Name,
-		CacheHit: info.cacheHit, StoreHit: info.storeHit, Stored: info.stored,
-	}
+	ev := SpecDone(rs, res, err)
+	ev.Sweep = s.seq
+	ev.CacheHit, ev.StoreHit, ev.Stored = info.cacheHit, info.storeHit, info.stored
 	if info.storeHit {
 		s.storeHits.Add(1)
 	}
 	if s.r.Store != nil {
-		if skey, ok := s.r.storeKey(rs, key); ok {
+		if skey, ok := s.r.storeKey(rs, ev.Key); ok {
 			ev.StoreKey = skey
 		}
 	}
 	if err == nil {
 		s.ok.Add(1)
-		ev.Status = "ok"
-		if res != nil {
-			ev.Cycles = res.Stats.Cycles
-			ev.Retired = res.Stats.Retired
-			if res.Stats.Cycles > 0 {
-				ev.IPC = float64(res.Stats.Retired) / float64(res.Stats.Cycles)
-			}
-		}
 	} else {
 		s.failed.Add(1)
+		if f, ok := fault.As(err); ok && f.Kind == fault.WatchdogExpiry {
+			s.r.Journal.Emit(journal.Event{
+				Type: journal.WatchdogExpiry, Sweep: s.seq, Key: ev.Key,
+				Workload: rs.Workload, Variant: string(rs.Variant), Config: rs.Config.Name,
+			})
+		}
+	}
+	s.r.Journal.Emit(ev)
+}
+
+// SpecDone maps one run's outcome to its spec_done journal event: the
+// spec's identity, then either its counters or its failure, with the fault
+// kind of a typed fault. A sweep adds its scope fields; cfdsim journals the
+// event as is.
+func SpecDone(rs RunSpec, res *Result, err error) journal.Event {
+	ev := journal.Event{
+		Type: journal.SpecDone, Key: rs.key(),
+		Workload: rs.Workload, Variant: string(rs.Variant), Config: rs.Config.Name,
+	}
+	if err != nil {
 		ev.Status = "fault"
 		ev.Error = err.Error()
 		if f, ok := fault.As(err); ok {
 			ev.Fault = f.Kind.String()
-			if f.Kind == fault.WatchdogExpiry {
-				s.r.Journal.Emit(journal.Event{
-					Type: journal.WatchdogExpiry, Sweep: s.seq, Key: key,
-					Workload: rs.Workload, Variant: string(rs.Variant), Config: rs.Config.Name,
-				})
-			}
 		}
+		return ev
 	}
-	s.r.Journal.Emit(ev)
+	ev.Status = "ok"
+	if res != nil {
+		ev.Cycles = res.Stats.Cycles
+		ev.Retired = res.Stats.Retired
+		ev.IPC = res.Stats.IPC()
+	}
+	return ev
 }
 
 // finish closes the scope with the sweep's terminal counts, including

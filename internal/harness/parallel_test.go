@@ -6,10 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"cfd/internal/config"
+	"cfd/internal/manifest"
 	"cfd/internal/workload"
 )
 
@@ -168,6 +170,36 @@ func TestVerifyModeAcceptsWorkloads(t *testing.T) {
 		if _, err := r.Run(rs); err != nil {
 			t.Errorf("%s/%s: %v", rs.Workload, rs.Variant, err)
 		}
+	}
+}
+
+// TestQueueCapacityManifest: every CFD-family variant, compiled for a core
+// with a shrunken or grown BQ, VQ or TQ, either verifies against the
+// emulator or is refused at build time because the transform cannot fit
+// the queue — it never deadlocks.
+func TestQueueCapacityManifest(t *testing.T) {
+	m, err := manifest.Load("../../examples/manifest/queues.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, err := SpecsFromManifest(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(0) // every workload at the 256-item floor
+	r.Verify = true
+	r.KeepGoing = true
+	if _, err := r.Sweep(context.Background(), specs); err != nil {
+		t.Fatal(err)
+	}
+	fails := r.Failures()
+	for _, f := range fails {
+		if !strings.Contains(f.Err.Error(), "exceeds the BQ capacity") {
+			t.Errorf("%s: %v", f.Spec.Key(), f.Err)
+		}
+	}
+	if got := len(r.Results()) + len(fails); got != len(specs) {
+		t.Errorf("%d of %d specs finished", got, len(specs))
 	}
 }
 

@@ -32,10 +32,12 @@ import (
 // payload carried inside store envelopes. Bump the version whenever the
 // payload layout — or the meaning of a simulation's results — changes
 // incompatibly; stale entries then quarantine and re-simulate instead of
-// decoding into wrong tables.
+// decoding into wrong tables. Version 2: each program is compiled for its
+// spec's queue capacities, so a version-1 entry for a non-default BQ, VQ
+// or TQ holds the run of a program compiled for the default queues.
 const (
 	StorePayloadSchema  = "cfd-run"
-	StorePayloadVersion = 1
+	StorePayloadVersion = 2
 )
 
 // OpenStore opens (or creates) a result store rooted at dir, bound to the

@@ -12,9 +12,9 @@ import (
 // results in specs order. Duplicate specs (within the sweep or against
 // earlier runs) simulate exactly once thanks to the Runner's singleflight
 // cache. The first failing spec cancels the rest of the sweep; the error
-// reported is the failure at the lowest index, so error reporting is as
-// deterministic as the serial path. With one worker (Jobs == 1) the specs
-// run strictly serially in submission order.
+// reported is the failure at the lowest index, so error reporting is
+// deterministic whatever the worker count. With one worker (Jobs == 1) the
+// specs run strictly serially in submission order.
 //
 // With KeepGoing set, a failing spec does not cancel the sweep: every spec
 // still runs (crash containment turns panics into memoized faults), failed
@@ -32,31 +32,6 @@ func (r *Runner) Sweep(ctx context.Context, specs []RunSpec) ([]*Result, error) 
 	}
 	sw := r.beginSweep(len(specs), jobs)
 	defer sw.finish()
-	// runOne is the shared per-spec step: journal the submission, run,
-	// journal the terminal outcome.
-	runOne := func(ctx context.Context, rs RunSpec) (*Result, error) {
-		sw.submit(rs)
-		res, err, info := r.runCtx(ctx, rs, sw.id())
-		sw.done(rs, res, err, info)
-		return res, err
-	}
-	if jobs <= 1 {
-		for i, rs := range specs {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			res, err := runOne(ctx, rs)
-			if err != nil {
-				if r.KeepGoing && ctx.Err() == nil {
-					continue
-				}
-				return nil, err
-			}
-			out[i] = res
-		}
-		return out, nil
-	}
-
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	errs := make([]error, len(specs))
@@ -75,7 +50,9 @@ func (r *Runner) Sweep(ctx context.Context, specs []RunSpec) ([]*Result, error) 
 					errs[i] = ctx.Err()
 					continue
 				}
-				res, err := runOne(ctx, specs[i])
+				sw.submit(specs[i])
+				res, err, info := r.runCtx(ctx, specs[i], sw.id())
+				sw.done(specs[i], res, err, info)
 				if err != nil {
 					errs[i] = err
 					if !r.KeepGoing {
@@ -147,16 +124,6 @@ func mapConcurrently[T, U any](jobs int, items []T, f func(T) (U, error)) ([]U, 
 	}
 	if jobs > len(items) {
 		jobs = len(items)
-	}
-	if jobs <= 1 {
-		for i, it := range items {
-			u, err := f(it)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = u
-		}
-		return out, nil
 	}
 	errs := make([]error, len(items))
 	var stop atomic.Bool

@@ -75,7 +75,10 @@ func NewHist(max int) *Hist {
 }
 
 // Observe records one observation of v, clamped into [0, max].
-func (h *Hist) Observe(v int) {
+func (h *Hist) Observe(v int) { h.ObserveN(v, 1) }
+
+// ObserveN records n observations of v, clamped into [0, max].
+func (h *Hist) ObserveN(v int, n uint64) {
 	if h == nil {
 		return
 	}
@@ -85,7 +88,7 @@ func (h *Hist) Observe(v int) {
 	if v >= len(h.counts) {
 		v = len(h.counts) - 1
 	}
-	h.counts[v]++
+	h.counts[v] += n
 }
 
 // Counts returns the raw buckets (nil for a nil Hist). The slice is owned

@@ -77,7 +77,7 @@ func TestDisabledProbesAllocFree(t *testing.T) {
 		reg.Gauge("y").Set(2)
 		reg.Hist("z", 16).Observe(3)
 		reg.RegisterProbe("p", nil)
-		o.TickQueues(1, 2, 3)
+		o.TickQueues(1, 2, 3, 1)
 		if o.Due(64) {
 			t.Fatal("nil observer is never due")
 		}
@@ -96,7 +96,7 @@ func TestObserverSampling(t *testing.T) {
 	o := NewObserver(10, 8, 8, 4)
 	var c IntervalCounters
 	for cycle := uint64(1); cycle <= 25; cycle++ {
-		o.TickQueues(2, 1, 0)
+		o.TickQueues(2, 1, 0, 1)
 		c.Cycle = cycle
 		c.Retired += 3
 		if cycle%5 == 0 {
@@ -150,7 +150,7 @@ func TestObserverSampling(t *testing.T) {
 
 func TestObserverHistogramOnly(t *testing.T) {
 	o := NewObserver(0, 4, 4, 4) // Every == 0: histograms but no series
-	o.TickQueues(1, 1, 1)
+	o.TickQueues(1, 1, 1, 1)
 	if o.Due(1) {
 		t.Error("observer with Every=0 must never be due")
 	}

@@ -49,9 +49,14 @@ type IntervalCounters struct {
 // Protocol (one engine, single-threaded):
 //
 //	o := NewObserver(every, bqSize, vqSize, tqSize)
-//	each cycle:  o.TickQueues(bqLen, vqLen, tqLen)
+//	each cycle:  o.TickQueues(bqLen, vqLen, tqLen, 1)
 //	             if o.Due(cycle) { o.Record(counters) }
 //	at the end:  o.Finish(counters)   // flush the partial last interval
+//
+// An engine that fast-forwards over n cycles of frozen state hands the span
+// over in one TickQueues(bqLen, vqLen, tqLen, n) call. The span must not
+// cross a sample boundary: the engine stops it at the next one and calls
+// Record there, as it would after cycling one by one.
 type Observer struct {
 	// Every is the sampling interval in engine clock units.
 	Every uint64
@@ -77,17 +82,17 @@ func NewObserver(every uint64, bqSize, vqSize, tqSize int) *Observer {
 	}
 }
 
-// TickQueues records one clock unit at the given queue occupancies.
-func (o *Observer) TickQueues(bq, vq, tq int) {
+// TickQueues records n clock units at the given queue occupancies.
+func (o *Observer) TickQueues(bq, vq, tq int, n uint64) {
 	if o == nil {
 		return
 	}
-	o.BQ.Observe(bq)
-	o.VQ.Observe(vq)
-	o.TQ.Observe(tq)
-	o.occBQ += uint64(bq)
-	o.occVQ += uint64(vq)
-	o.occTQ += uint64(tq)
+	o.BQ.ObserveN(bq, n)
+	o.VQ.ObserveN(vq, n)
+	o.TQ.ObserveN(tq, n)
+	o.occBQ += uint64(bq) * n
+	o.occVQ += uint64(vq) * n
+	o.occTQ += uint64(tq) * n
 }
 
 // Due reports whether cycle is a sample boundary.

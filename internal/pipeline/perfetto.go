@@ -16,10 +16,10 @@ const (
 	tidCommit  = 4 // completion → retirement (ROB wait)
 )
 
-// PerfettoTrace renders the collected pipeline trace (WithTrace /
-// WithTraceWindow) as a Chrome/Perfetto trace: stage spans per traced
-// instruction, plus counter tracks (IPC, queue occupancy, stall fractions)
-// from the attached observer's time series when sampling was enabled.
+// PerfettoTrace renders the collected pipeline trace (WithTraceWindow) as
+// a Chrome/Perfetto trace: stage spans per traced instruction, plus counter
+// tracks (IPC, queue occupancy, stall fractions) from the attached
+// observer's time series when sampling was enabled.
 // One trace timestamp unit corresponds to one simulated cycle.
 func (c *Core) PerfettoTrace() *obs.Trace {
 	tr := obs.NewTrace()

@@ -413,8 +413,10 @@ func WithPerfectBP() Option { return func(c *Core) { c.perfectBP = true } }
 // WithObserver attaches an interval sampler and queue-occupancy profiler to
 // the core: every cycle it observes BQ/VQ/TQ occupancy, and at each
 // sampling boundary it snapshots interval IPC, mispredicts/KI, fetch/BQ/TQ
-// stall fractions, and cache MPKI into the observer's time series. A nil
-// observer is valid and free: the per-cycle hook is skipped entirely (the
+// stall fractions, and cache MPKI into the observer's time series. Idle
+// cycles are observed a skipped span at a time (see idleSkip), so the
+// observed run takes the unobserved run's code path. A nil observer is
+// valid and free: the per-cycle hook is skipped entirely (the
 // zero-overhead-when-disabled contract, pinned by the obs benchmarks).
 func WithObserver(o *obs.Observer) Option { return func(c *Core) { c.obsv = o } }
 
@@ -522,7 +524,7 @@ func New(cfg config.Core, p *prog.Program, m *mem.Memory, opts ...Option) (*Core
 
 // Cycle runs one clock cycle.
 func (c *Core) Cycle() error {
-	c.hier.Tick(c.now)
+	c.hier.Tick(c.now, 1)
 	c.cycRetired = 0
 	c.cycOverhead = 0
 	c.cycStall = stallNone
@@ -571,8 +573,13 @@ func (c *Core) Cycle() error {
 // frozen cycle just simulated, so the CPI-stack exact-sum invariant and all
 // stall statistics are bit-identical with and without skipping.
 //
-// The caller (RunCtx) disables skipping when an observer, tracer, or MSHR
-// sampler is attached: those hooks observe every cycle individually.
+// The per-cycle hooks take the skipped span in one step, so observing a run
+// leaves skipping on. The span stops at the observer's next sample
+// boundary; the observer integrates the frozen queue occupancies over it
+// and records the boundary's sample at its end. The MSHR sampler adds the
+// frozen MSHRs over the span, split at fills that complete inside it. The
+// tracer records only at retire and squash, and a skipped span has
+// neither. Only WithoutIdleSkip turns skipping off.
 func (c *Core) idleSkip(wd *fault.Watchdog, stallLimit uint64) {
 	// Never skip past the cycle where the deadlock detector must fire.
 	target := c.lastRetireCycle + stallLimit + 1
@@ -591,6 +598,9 @@ func (c *Core) idleSkip(wd *fault.Watchdog, stallLimit uint64) {
 			target = ra
 		}
 	}
+	if o := c.obsv; o != nil && o.Every != 0 {
+		target = min(target, (c.now/o.Every+1)*o.Every)
+	}
 	// Every outstanding completion event occupies a ring bucket within
 	// eventRing cycles of now (far events park at the ring horizon), so a
 	// forward scan finds the earliest one.
@@ -608,6 +618,7 @@ func (c *Core) idleSkip(wd *fault.Watchdog, stallLimit uint64) {
 		return
 	}
 	n := target - c.now
+	c.hier.Tick(c.now, n)
 	c.Stats.CPI.AddN(c.lastBucket, n)
 	if c.cycStallCtr != nil {
 		*c.cycStallCtr += n
@@ -615,13 +626,19 @@ func (c *Core) idleSkip(wd *fault.Watchdog, stallLimit uint64) {
 	c.now = target
 	c.Stats.Cycles += n
 	c.Meter.AddCycles(n)
+	if o := c.obsv; o != nil {
+		o.TickQueues(c.bq.length(), c.vq.length(), c.tq.length(), n)
+		if o.Due(target) {
+			o.Record(c.intervalCounters(target))
+		}
+	}
 }
 
 // obsTick feeds the attached observer after a cycle's stages have acted:
 // per-cycle queue occupancies, and a time-series sample at each boundary.
 func (c *Core) obsTick() {
 	o := c.obsv
-	o.TickQueues(c.bq.length(), c.vq.length(), c.tq.length())
+	o.TickQueues(c.bq.length(), c.vq.length(), c.tq.length(), 1)
 	if cyc := c.now + 1; o.Due(cyc) {
 		o.Record(c.intervalCounters(cyc))
 	}
@@ -643,8 +660,8 @@ func (c *Core) intervalCounters(cycle uint64) obs.IntervalCounters {
 	}
 }
 
-// FinishObservation flushes the observer's partial final interval. Callers
-// that attach an observer should call it once after Run returns.
+// FinishObservation flushes the observer's partial final interval. RunCtx
+// calls it when the run ends; a further call records nothing.
 func (c *Core) FinishObservation() {
 	if c.obsv != nil {
 		c.obsv.Finish(c.intervalCounters(c.now))
@@ -666,14 +683,15 @@ func (c *Core) Run(maxRetired uint64) error {
 // invariant breaches — return a *fault.Fault carrying a machine-state
 // snapshot; RunCtx never panics on malformed programs.
 //
-// A faulting run flushes the observer's partial tail interval before
-// returning, so a faulted time series is exactly the clean series
-// truncated at the fault cycle — the final sample is not lost with the
-// run. (FinishObservation stays idempotent: no clock advances after the
-// fault, so a later caller-side flush records nothing.)
+// A run that ends — HALT retired or a fault — flushes the observer's
+// partial tail interval before returning, so a faulted time series is
+// exactly the clean series truncated at the fault cycle. A run stopped by
+// maxRetired (ErrLimit) can continue, so its interval stays open.
+// (FinishObservation stays idempotent: no clock advances after the run
+// ends, so a later caller-side flush records nothing.)
 func (c *Core) RunCtx(ctx context.Context, maxRetired uint64) error {
 	err := c.runCtx(ctx, maxRetired)
-	if err != nil && !errors.Is(err, ErrLimit) {
+	if !errors.Is(err, ErrLimit) {
 		c.FinishObservation()
 	}
 	return err
@@ -694,10 +712,7 @@ func (c *Core) runCtx(ctx context.Context, maxRetired uint64) error {
 	if limit == 0 {
 		limit = defaultStallLimit
 	}
-	// Idle-cycle skipping is off when any per-cycle hook observes the
-	// machine: the interval sampler, the pipeline tracer, and the MSHR
-	// occupancy sampler all need to see every cycle individually.
-	skip := !c.idleSkipOff && c.obsv == nil && c.trace == nil && !c.cfg.Cache.SampleMSHRs
+	skip := !c.idleSkipOff
 	c.lastRetireCycle = c.now
 	for !c.done {
 		if maxRetired != 0 && c.Stats.Retired >= maxRetired {
@@ -730,6 +745,9 @@ func (c *Core) runCtx(ctx context.Context, maxRetired uint64) error {
 
 // Mem returns the committed memory.
 func (c *Core) Mem() *mem.Memory { return c.mem }
+
+// Program returns the program the core runs.
+func (c *Core) Program() *prog.Program { return c.prog }
 
 // Hierarchy exposes the cache hierarchy for stats.
 func (c *Core) Hierarchy() *cache.Hierarchy { return c.hier }

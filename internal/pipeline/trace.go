@@ -27,17 +27,11 @@ type tracer struct {
 	events []TraceEvent
 }
 
-// WithTrace enables pipeline tracing for the first limit instructions that
-// enter the window (squashed ones included). Render the result with
-// Pipeview.
-func WithTrace(limit int) Option {
-	return func(c *Core) { c.trace = &tracer{limit: limit} }
-}
-
 // WithTraceWindow enables pipeline tracing for limit instructions starting
 // after the first start instructions have left the pipeline (retired or
-// squashed) — a mid-run window that captures steady-state behaviour
-// instead of only warm-up.
+// squashed, so squashed ones are traced too). Start 0 traces from the first
+// instruction; a later start captures steady-state behaviour instead of
+// only warm-up. Render the result with Pipeview or PerfettoTrace.
 func WithTraceWindow(start, limit int) Option {
 	return func(c *Core) { c.trace = &tracer{skip: start, limit: limit} }
 }
@@ -79,7 +73,7 @@ func (c *Core) Trace() []TraceEvent {
 func (c *Core) Pipeview() string {
 	evs := c.Trace()
 	if len(evs) == 0 {
-		return "(no trace; construct the core with WithTrace)\n"
+		return "(no trace; construct the core with WithTraceWindow)\n"
 	}
 	base := evs[0].FetchAt
 	var last uint64

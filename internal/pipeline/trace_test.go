@@ -11,7 +11,7 @@ func TestPipeviewTrace(t *testing.T) {
 	const n = 50
 	m := mem.New()
 	m.WriteUint64s(0x10000, randomArray(n, 100, 41))
-	core, err := New(testConfig(), condLoop(0x10000, 0x80000, n, 50), m, WithTrace(40))
+	core, err := New(testConfig(), condLoop(0x10000, 0x80000, n, 50), m, WithTraceWindow(0, 40))
 	if err != nil {
 		t.Fatal(err)
 	}

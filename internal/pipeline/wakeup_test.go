@@ -140,7 +140,7 @@ func TestLoadWaitsForOlderStoreAddress(t *testing.T) {
 	b.Load(isa.LD, 5, 1, 0)   // pc 6
 	b.Store(isa.SD, 5, 1, 64) // pc 7: keep the load's value live
 	b.Halt()
-	c := runBoth(t, testConfig(), b.MustBuild(), nil, WithTrace(64))
+	c := runBoth(t, testConfig(), b.MustBuild(), nil, WithTraceWindow(0, 64))
 	at := map[uint64]TraceEvent{}
 	for _, e := range c.Trace() {
 		if !e.Squashed {

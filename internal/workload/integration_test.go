@@ -84,7 +84,8 @@ func TestPipelineMatchesEmulatorStallPolicy(t *testing.T) {
 
 // TestPipelineMatchesEmulatorTinyWindow runs the CFD variants on a
 // minimal, heavily contended core: small window, one checkpoint, shallow
-// queues — the regime where recovery and stall corner cases live.
+// queues — the regime where recovery and stall corner cases live. Each
+// program is compiled for that core, so CFD+ strip-mines to its small VQ.
 func TestPipelineMatchesEmulatorTinyWindow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
@@ -101,10 +102,7 @@ func TestPipelineMatchesEmulatorTinyWindow(t *testing.T) {
 	for _, name := range []string{"soplexlike", "astar1like", "astar2like", "tifflike"} {
 		s, _ := ByName(name)
 		for _, v := range s.Variants {
-			if v == CFDPlus {
-				continue // the workloads' VQ chunks need the full-size VQ
-			}
-			p, m, err := s.Build(v, 1000)
+			p, m, err := s.BuildFor(cfg, v, 1000)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -16,6 +16,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"cfd/internal/config"
 	"cfd/internal/isa"
 	"cfd/internal/mem"
 	"cfd/internal/prog"
@@ -53,9 +54,10 @@ type Spec struct {
 	// TestN is a reduced size for unit tests.
 	DefaultN int64
 	TestN    int64
-	// Build constructs the program and initial memory for a variant.
-	// Kernel-shaped workloads leave it nil: registration synthesizes it
-	// from Kernel through the xform pass pipeline, so every variant is
+	// Build constructs the program and initial memory for a variant,
+	// compiled for the paper's baseline core; BuildFor compiles for any
+	// core. Kernel-shaped workloads leave it nil: registration synthesizes
+	// it from Kernel through the xform pass pipeline, so every variant is
 	// generated, not hand-written. Only workloads whose control flow is
 	// not kernel-shaped (the classification-study set) provide Build.
 	Build func(v Variant, n int64) (*prog.Program, *mem.Memory, error)
@@ -77,9 +79,16 @@ func (s *Spec) Transform(v Variant) xform.Transform {
 	return xform.Transform(v)
 }
 
-// buildFromKernel is the synthesized Build for kernel-shaped workloads:
-// construct the kernel once, apply the variant's transform.
-func (s *Spec) buildFromKernel(v Variant, n int64) (*prog.Program, *mem.Memory, error) {
+// BuildFor constructs the program and initial memory for variant v at size
+// n, compiled for the core cfg. A kernel-shaped workload strip-mines its
+// decoupled loops into chunks no larger than cfg's BQ/VQ/TQ capacities
+// (§III-B), so the program is correct only on a core with those queues; a
+// transform that cannot fit them refuses with its reason. A hand-built
+// workload (Kernel == nil) has one program for every core.
+func (s *Spec) BuildFor(cfg config.Core, v Variant, n int64) (*prog.Program, *mem.Memory, error) {
+	if s.Kernel == nil {
+		return s.Build(v, n)
+	}
 	if !s.HasVariant(v) {
 		return nil, nil, badVariant(s.Name, v)
 	}
@@ -87,11 +96,17 @@ func (s *Spec) buildFromKernel(v Variant, n int64) (*prog.Program, *mem.Memory, 
 	if err != nil {
 		return nil, nil, err
 	}
-	p, err := f.Apply(s.Transform(v), xform.DefaultParams())
+	p, err := f.Apply(s.Transform(v), xform.ParamsFrom(cfg))
 	if err != nil {
 		return nil, nil, err
 	}
 	return p, m, nil
+}
+
+// buildFromKernel is the synthesized Build for kernel-shaped workloads: the
+// program compiled for the paper's baseline core.
+func (s *Spec) buildFromKernel(v Variant, n int64) (*prog.Program, *mem.Memory, error) {
+	return s.BuildFor(config.SandyBridge(), v, n)
 }
 
 // HasVariant reports whether v is implemented.
