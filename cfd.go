@@ -160,7 +160,12 @@ func Simulate(name string, v Variant, cfg CoreConfig, n int64) (*Core, error) {
 	if n == 0 {
 		n = s.DefaultN
 	}
-	_, core, err := harness.Simulate(RunSpec{Workload: name, Variant: v, Config: cfg}, n, false, nil)
+	rs := RunSpec{Workload: name, Variant: v, Config: cfg}
+	b, err := harness.NewBuild(rs, n)
+	if err != nil {
+		return nil, err
+	}
+	_, core, err := harness.Simulate(rs, b, false, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"cfd/internal/asm"
@@ -22,28 +23,39 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its streams and exit code lifted out, so tests can drive
+// the command end to end. It returns 0 on success, 1 on a failed assembly
+// or run, and 2 on bad usage.
+func run(argv []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("cfdasm", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		cycle    = flag.Bool("cycle", false, "run on the cycle-level core instead of the emulator")
-		pipeview = flag.Int("pipeview", 0, "with -cycle: trace N instructions and print a pipeline diagram")
-		dump     = flag.Bool("dump", false, "print the assembled program and exit")
-		limit    = flag.Uint64("limit", 50_000_000, "retired-instruction limit")
+		cycle    = fs.Bool("cycle", false, "run on the cycle-level core instead of the emulator")
+		pipeview = fs.Int("pipeview", 0, "with -cycle: trace N instructions and print a pipeline diagram")
+		dump     = fs.Bool("dump", false, "print the assembled program and exit")
+		limit    = fs.Uint64("limit", 50_000_000, "retired-instruction limit")
 	)
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: cfdasm [flags] file.s")
-		os.Exit(2)
+	if err := fs.Parse(argv); err != nil {
+		return 2
 	}
-	src, err := os.ReadFile(flag.Arg(0))
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: cfdasm [flags] file.s")
+		return 2
+	}
+	src, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
-		fatal(err)
+		return fatal(stderr, err)
 	}
 	p, image, err := asm.AssembleWithData(string(src))
 	if err != nil {
-		fatal(err)
+		return fatal(stderr, err)
 	}
 	if *dump {
-		fmt.Print(p.Disassemble())
-		return
+		fmt.Fprint(stdout, p.Disassemble())
+		return 0
 	}
 
 	if *cycle {
@@ -53,35 +65,36 @@ func main() {
 		}
 		core, err := pipeline.New(config.SandyBridge(), p, image, opts...)
 		if err != nil {
-			fatal(err)
+			return fatal(stderr, err)
 		}
 		if err := core.Run(*limit); err != nil {
-			fatal(err)
+			return fatal(stderr, err)
 		}
 		st := core.Stats
-		fmt.Printf("cycles %d  retired %d  IPC %.3f  MPKI %.2f  BQ pops %d  TQ pops %d\n",
+		fmt.Fprintf(stdout, "cycles %d  retired %d  IPC %.3f  MPKI %.2f  BQ pops %d  TQ pops %d\n",
 			st.Cycles, st.Retired, st.IPC(), st.MPKI(), st.BQPops, st.TQPops)
 		if *pipeview > 0 {
-			fmt.Print(core.Pipeview())
+			fmt.Fprint(stdout, core.Pipeview())
 		}
-		return
+		return 0
 	}
 
 	mc := emu.New(p, image)
 	if err := mc.Run(*limit); err != nil {
-		fatal(err)
+		return fatal(stderr, err)
 	}
-	fmt.Printf("retired %d instructions\n", mc.Retired)
+	fmt.Fprintf(stdout, "retired %d instructions\n", mc.Retired)
 	for r := 1; r < 32; r++ {
 		if mc.Regs[r] != 0 {
-			fmt.Printf("  r%-2d = %d (%#x)\n", r, mc.Regs[r], mc.Regs[r])
+			fmt.Fprintf(stdout, "  r%-2d = %d (%#x)\n", r, mc.Regs[r], mc.Regs[r])
 		}
 	}
-	fmt.Printf("  BQ len %d, VQ len %d, TQ len %d, TCR %d\n",
+	fmt.Fprintf(stdout, "  BQ len %d, VQ len %d, TQ len %d, TCR %d\n",
 		mc.BQ.Len(), mc.VQ.Len(), mc.TQ.Len(), mc.TCR)
+	return 0
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "cfdasm:", err)
-	os.Exit(1)
+func fatal(stderr io.Writer, err error) int {
+	fmt.Fprintln(stderr, "cfdasm:", err)
+	return 1
 }

@@ -187,12 +187,12 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		cfg.BQMissPolicy = config.StallFetch
 	}
 	rs := harness.RunSpec{Workload: s.Name, Variant: workload.Variant(*variant), Config: cfg, SampleEvery: *sampleEvery}
+	b, err := harness.NewBuild(rs, size)
 	if *dumpAsm {
-		p, _, err := s.BuildFor(cfg, rs.Variant, size)
 		if err != nil {
 			return fatalf(stderr, "%v", err)
 		}
-		fmt.Fprint(stdout, p.Disassemble())
+		fmt.Fprint(stdout, b.Program().Disassemble())
 		return 0
 	}
 
@@ -210,7 +210,13 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	if *maxCycles > 0 || *deadline > 0 {
 		wd = fault.WithTimeout(*maxCycles, *deadline)
 	}
-	res, core, err := harness.Simulate(rs, size, *verify, wd, extra...)
+	var (
+		res  *harness.Result
+		core *pipeline.Core
+	)
+	if err == nil {
+		res, core, err = harness.Simulate(rs, b, *verify, wd, extra...)
+	}
 	if err == nil {
 		if *verify {
 			fmt.Fprintln(stdout, "verify          OK (retired state matches the functional emulator)")

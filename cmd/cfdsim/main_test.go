@@ -128,7 +128,11 @@ func TestBranchesOrder(t *testing.T) {
 	}
 
 	rs := harness.RunSpec{Workload: "astar2like", Variant: workload.CFDBQTQ, Config: config.Scaled(168).WithDepth(10)}
-	res, _, err := harness.Simulate(rs, 2000, false, nil)
+	b, err := harness.NewBuild(rs, 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := harness.Simulate(rs, b, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,8 +94,8 @@ type line struct {
 
 type level struct {
 	cfg      LevelConfig
-	sets     [][]line
-	setShift uint
+	lines    []line // set s holds lines[s*ways : (s+1)*ways]
+	ways     int
 	setMask  uint64
 	accesses uint64
 	misses   uint64
@@ -107,18 +107,24 @@ func newLevel(cfg LevelConfig, lineBytes int) *level {
 	if numSets == 0 {
 		numSets = 1
 	}
-	l := &level{cfg: cfg, setMask: uint64(numSets - 1)}
-	l.sets = make([][]line, numSets)
-	for i := range l.sets {
-		l.sets[i] = make([]line, cfg.Ways)
+	return &level{
+		cfg:     cfg,
+		lines:   make([]line, numSets*cfg.Ways),
+		ways:    cfg.Ways,
+		setMask: uint64(numSets - 1),
 	}
-	return l
+}
+
+// set returns the ways of lineAddr's set.
+func (l *level) set(lineAddr uint64) []line {
+	i := int(lineAddr&l.setMask) * l.ways
+	return l.lines[i : i+l.ways]
 }
 
 // lookup probes for lineAddr; on hit it refreshes LRU.
 func (l *level) lookup(lineAddr, clock uint64) bool {
 	l.accesses++
-	set := l.sets[lineAddr&l.setMask]
+	set := l.set(lineAddr)
 	tag := lineAddr >> 1 // full tag (setMask bits are redundant but harmless)
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
@@ -132,7 +138,7 @@ func (l *level) lookup(lineAddr, clock uint64) bool {
 
 // install fills lineAddr, evicting the LRU way.
 func (l *level) install(lineAddr, clock uint64) {
-	set := l.sets[lineAddr&l.setMask]
+	set := l.set(lineAddr)
 	tag := lineAddr >> 1
 	victim := 0
 	for i := range set {

@@ -12,8 +12,9 @@
 //
 // The package also provides the Watchdog used by both Run loops: a cycle
 // budget plus a wall-clock deadline plus caller cancellation, so a corrupted
-// trip count or a model bug that stops retirement surfaces as a
-// WatchdogExpiry fault with a diagnostic dump rather than a hung sweep.
+// trip count or a runaway loop surfaces as a WatchdogExpiry fault with a
+// diagnostic dump rather than a hung sweep. A pipeline that stops retiring
+// altogether reports a Deadlock fault instead.
 package fault
 
 import (
@@ -39,8 +40,8 @@ const (
 	// architectural queue size.
 	BadMemoryAccess
 	// WatchdogExpiry reports a Run loop stopped by its watchdog: cycle
-	// budget exhausted, wall-clock deadline passed, caller cancellation,
-	// or no retirement progress (deadlock).
+	// budget exhausted, wall-clock deadline passed, or caller
+	// cancellation. It depends on the run's budgets, not only on the spec.
 	WatchdogExpiry
 	// InvariantBreach is an internal model invariant failure — always a
 	// simulator bug, reported with state for diagnosis.
@@ -48,6 +49,12 @@ const (
 	// RuntimePanic is a Go panic that escaped an engine and was contained
 	// by the harness.
 	RuntimePanic
+	// Deadlock reports a pipeline run in which nothing retired for the
+	// stall limit (pipeline.ErrDeadlock). Unlike a watchdog expiry it is a
+	// deterministic property of the program and the core. It comes after
+	// RuntimePanic so the numeric kinds already persisted keep their
+	// meaning.
+	Deadlock
 )
 
 var kindNames = [...]string{
@@ -57,6 +64,7 @@ var kindNames = [...]string{
 	WatchdogExpiry:     "watchdog-expiry",
 	InvariantBreach:    "invariant-breach",
 	RuntimePanic:       "runtime-panic",
+	Deadlock:           "deadlock",
 }
 
 func (k Kind) String() string {

@@ -161,7 +161,7 @@ func TestWithTimeout(t *testing.T) {
 
 func TestKindStrings(t *testing.T) {
 	for _, k := range []Kind{QueueViolation, IllegalInstruction, BadMemoryAccess,
-		WatchdogExpiry, InvariantBreach, RuntimePanic} {
+		WatchdogExpiry, InvariantBreach, RuntimePanic, Deadlock} {
 		s := k.String()
 		if s == "" || strings.Contains(s, "Kind(") {
 			t.Errorf("kind %d has no name: %q", k, s)

@@ -18,7 +18,8 @@
 //  1. typed fault: the corruption trips an ISA ordering rule (pop on
 //     empty, overflow-bit misuse) or a malformed restore image;
 //  2. watchdog: the corruption stops forward progress (e.g. a huge trip
-//     count) and the instruction-budget watchdog expires;
+//     count) and the instruction-budget watchdog expires, or the engine
+//     reports a deadlock;
 //  3. lockstep divergence: the retired stream deviates from the golden
 //     run — PC, opcode, branch outcome, effective address, or retired
 //     result value (the DIVA-style checker the differential verifier

@@ -184,7 +184,7 @@ func runTrial(site Site, rng *rand.Rand, goldens map[string]*golden) (Trial, err
 		tr.Outcome = OutcomeDetected
 		if f, isFault := fault.As(out.err); isFault {
 			tr.Fault = f.Kind.String()
-			if f.Kind == fault.WatchdogExpiry {
+			if f.Kind == fault.WatchdogExpiry || f.Kind == fault.Deadlock {
 				tr.Detector = DetectWatchdog
 			} else {
 				tr.Detector = DetectFault

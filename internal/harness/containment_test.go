@@ -3,7 +3,9 @@ package harness
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
+	"time"
 
 	"cfd/internal/config"
 	"cfd/internal/fault"
@@ -51,7 +53,10 @@ func registerCorruptWorkloads(t *testing.T) (crash, violator string) {
 // TestSweepContainment is the acceptance scenario: a sweep over the full
 // workload x variant matrix with deliberately corrupted workloads mixed in
 // completes every healthy run, reports each failure as a structured typed
-// fault, and never dies on the in-simulation panic.
+// fault, and never dies on the in-simulation panic. The panicking builder
+// also runs under a second config with the same queues, so two specs share
+// its one build: both must fail as runtime-panic, each under its own
+// config, and neither may wait forever on the other.
 func TestSweepContainment(t *testing.T) {
 	crash, violator := registerCorruptWorkloads(t)
 
@@ -66,14 +71,30 @@ func TestSweepContainment(t *testing.T) {
 			specs = append(specs, RunSpec{Workload: s.Name, Variant: v, Config: cfg})
 		}
 	}
-	if len(corrupt) != 2 {
-		t.Fatalf("expected 2 corrupt specs in the matrix, got %d", len(corrupt))
+	wide := config.Scaled(256)
+	corrupt[len(specs)] = true
+	specs = append(specs, RunSpec{Workload: crash, Variant: workload.Base, Config: wide})
+	if len(corrupt) != 3 {
+		t.Fatalf("expected 3 corrupt specs in the matrix, got %d", len(corrupt))
 	}
 
 	r := NewRunner(0.02)
 	r.Jobs = 4
 	r.KeepGoing = true
-	out, err := r.Sweep(context.Background(), specs)
+	var (
+		out  []*Result
+		err  error
+		done = make(chan struct{})
+	)
+	go func() {
+		defer close(done)
+		out, err = r.Sweep(context.Background(), specs)
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Minute):
+		t.Fatal("sweep blocked")
+	}
 	if err != nil {
 		t.Fatalf("keep-going sweep failed outright: %v", err)
 	}
@@ -90,22 +111,27 @@ func TestSweepContainment(t *testing.T) {
 	}
 
 	fails := r.Failures()
-	if len(fails) != 2 {
-		t.Fatalf("Failures() returned %d entries, want 2: %v", len(fails), fails)
+	if len(fails) != 3 {
+		t.Fatalf("Failures() returned %d entries, want 3: %v", len(fails), fails)
 	}
-	kinds := map[string]fault.Kind{}
 	for _, fl := range fails {
 		f, ok := fault.As(fl.Err)
 		if !ok {
 			t.Fatalf("failure %v is not a typed fault", fl.Err)
 		}
-		kinds[fl.Spec.Workload] = f.Kind
-	}
-	if kinds[crash] != fault.RuntimePanic {
-		t.Errorf("builder panic recorded as %v, want runtime-panic", kinds[crash])
-	}
-	if kinds[violator] != fault.QueueViolation {
-		t.Errorf("BQ violation recorded as %v, want queue-violation", kinds[violator])
+		switch fl.Spec.Workload {
+		case crash:
+			if f.Kind != fault.RuntimePanic {
+				t.Errorf("builder panic on %s recorded as %v, want runtime-panic", fl.Spec.Config.Name, f.Kind)
+			}
+			if !strings.Contains(fl.Err.Error(), " on "+fl.Spec.Config.Name+": ") {
+				t.Errorf("builder panic on %s does not name its config: %v", fl.Spec.Config.Name, fl.Err)
+			}
+		case violator:
+			if f.Kind != fault.QueueViolation {
+				t.Errorf("BQ violation recorded as %v, want queue-violation", f.Kind)
+			}
+		}
 	}
 }
 

@@ -27,7 +27,6 @@ import (
 	"cfd/internal/emu"
 	"cfd/internal/fault"
 	"cfd/internal/manifest"
-	"cfd/internal/mem"
 	"cfd/internal/obs"
 	"cfd/internal/obs/journal"
 	"cfd/internal/pipeline"
@@ -244,14 +243,15 @@ func (r *Runner) Run(rs RunSpec) (*Result, error) {
 // goroutine's in-flight simulation of the same spec returns early when ctx
 // is done (the simulation itself runs to completion and stays memoized).
 func (r *Runner) RunCtx(ctx context.Context, rs RunSpec) (*Result, error) {
-	res, err, _ := r.runCtx(ctx, rs, 0)
+	res, err, _ := r.runCtx(ctx, rs, 0, nil)
 	return res, err
 }
 
 // runCtx is the memoizing core shared by RunCtx and Sweep. sweep is the
-// journal scope's sequence number (0 outside a journaled sweep); the
-// returned runInfo says how the result materialized, feeding the journal.
-func (r *Runner) runCtx(ctx context.Context, rs RunSpec, sweep uint64) (*Result, error, runInfo) {
+// journal scope's sequence number (0 outside a journaled sweep) and builds
+// the sweep's build cache (nil outside a sweep); the returned runInfo says
+// how the result materialized, feeding the journal.
+func (r *Runner) runCtx(ctx context.Context, rs RunSpec, sweep uint64, builds *buildCache) (*Result, error, runInfo) {
 	key := rs.key()
 	r.lookups.Add(1)
 	r.mu.Lock()
@@ -286,7 +286,7 @@ func (r *Runner) runCtx(ctx context.Context, rs RunSpec, sweep uint64) (*Result,
 		})
 	}
 	var info runInfo
-	e.res, e.err = r.simulate(rs)
+	e.res, e.err = r.simulate(rs, builds)
 	if r.Store != nil {
 		info.stored = r.storePersist(rs, key, e.res, e.err)
 	}
@@ -374,16 +374,14 @@ var (
 	testOnSweepSpecs  func([]RunSpec) // called with every Sweep's spec list before work starts
 )
 
-// simulate performs the actual cycle-level run for rs (no caching). A panic
-// escaping either engine (or a workload builder) is contained here and
-// memoized as a RuntimePanic fault, so one dying run cannot take down a
-// sweep's worker pool.
-func (r *Runner) simulate(rs RunSpec) (res *Result, err error) {
+// simulate performs the actual cycle-level run for rs (no result caching),
+// taking its Build from builds. A panic escaping either engine (or a
+// workload builder) is contained here and memoized as a RuntimePanic fault,
+// so one dying run cannot take down a sweep's worker pool.
+func (r *Runner) simulate(rs RunSpec, builds *buildCache) (res *Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			f := fault.FromPanic(v, debug.Stack(), fault.Snapshot{Engine: "harness"})
-			res, err = nil, fmt.Errorf("harness: %s/%s on %s: %w",
-				rs.Workload, rs.Variant, rs.Config.Name, f)
+			res, err = nil, panicError(rs, fault.FromPanic(v, debug.Stack(), fault.Snapshot{Engine: "harness"}))
 		}
 	}()
 	if h := testOnSimulate; h != nil {
@@ -393,28 +391,25 @@ func (r *Runner) simulate(rs RunSpec) (res *Result, err error) {
 	if !ok {
 		return nil, fmt.Errorf("harness: unknown workload %q", rs.Workload)
 	}
-	res, _, err = Simulate(rs, r.workloadN(s), r.Verify, r.watchdog())
+	b, err := builds.get(rs, r.workloadN(s))
+	if err != nil {
+		return nil, err
+	}
+	res, _, err = Simulate(rs, b, r.Verify, r.watchdog())
 	return res, err
 }
 
-// Simulate is the one step from a RunSpec to a simulated run, shared by the
-// Runner, cfdsim and cfd.Simulate. It builds rs's workload variant at input
-// size n, compiled for rs.Config, runs it to completion on a core with that
-// config, and, with verify set, cross-checks the retired state against the
-// functional emulator. wd, when non-nil, bounds the run and the oracle
-// pre-run of the perfect-prediction modes; extra options (a pipeline trace,
-// say) are applied to the core. The core is returned whenever one was
-// built, also after a failed run, so a caller can read its partial trace.
-func Simulate(rs RunSpec, n int64, verify bool, wd *fault.Watchdog, extra ...pipeline.Option) (*Result, *pipeline.Core, error) {
-	s, ok := workload.ByName(rs.Workload)
-	if !ok {
-		return nil, nil, fmt.Errorf("harness: unknown workload %q", rs.Workload)
-	}
-	p, m, err := s.BuildFor(rs.Config, rs.Variant, n)
-	if err != nil {
-		return nil, nil, err
-	}
-
+// Simulate is the one step from a RunSpec and its Build to a simulated run,
+// shared by the Runner, cfdsim and cfd.Simulate. It runs b's program to
+// completion on a core with rs.Config, and, with verify set, cross-checks
+// the retired state against the functional emulator. The run, the verify
+// replay and the oracle pre-run of the perfect-prediction modes each start
+// from their own clone of b's image. wd, when non-nil, bounds the run and
+// the oracle pre-run; extra options (a pipeline trace, say) are applied to
+// the core. The core is returned whenever one was built, also after a
+// failed run, so a caller can read its partial trace.
+func Simulate(rs RunSpec, b *Build, verify bool, wd *fault.Watchdog, extra ...pipeline.Option) (*Result, *pipeline.Core, error) {
+	p := b.prog
 	var opts []pipeline.Option
 	if wd != nil {
 		opts = append(opts, pipeline.WithWatchdog(wd))
@@ -435,7 +430,7 @@ func Simulate(rs RunSpec, n int64, verify bool, wd *fault.Watchdog, extra ...pip
 		if wd != nil {
 			emuOpts = append(emuOpts, emu.WithWatchdog(wd))
 		}
-		em := emu.New(p, m.Clone(), emuOpts...)
+		em := emu.New(p, b.img.Clone(), emuOpts...)
 		if err := em.Run(500_000_000); err != nil {
 			return nil, nil, fmt.Errorf("harness: oracle pre-run %s/%s: %w", rs.Workload, rs.Variant, err)
 		}
@@ -444,10 +439,6 @@ func Simulate(rs RunSpec, n int64, verify bool, wd *fault.Watchdog, extra ...pip
 			opts = append(opts, pipeline.WithPerfectBP())
 		}
 	}
-	var init *mem.Memory
-	if verify {
-		init = m.Clone()
-	}
 	cfg := rs.Config
 	cfg.Cache.SampleMSHRs = rs.SampleMSHR
 	var obsv *obs.Observer
@@ -455,7 +446,7 @@ func Simulate(rs RunSpec, n int64, verify bool, wd *fault.Watchdog, extra ...pip
 		obsv = obs.NewObserver(rs.SampleEvery, cfg.BQSize, cfg.VQSize, cfg.TQSize)
 		opts = append(opts, pipeline.WithObserver(obsv))
 	}
-	core, err := pipeline.New(cfg, p, m, append(opts, extra...)...)
+	core, err := pipeline.New(cfg, p, b.img.Clone(), append(opts, extra...)...)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -463,7 +454,7 @@ func Simulate(rs RunSpec, n int64, verify bool, wd *fault.Watchdog, extra ...pip
 		return nil, core, fmt.Errorf("harness: %s/%s on %s: %w", rs.Workload, rs.Variant, cfg.Name, err)
 	}
 	if verify {
-		if err := emu.VerifyArch(p, init, core.ArchRegs(), core.Mem(), core.Stats.Retired,
+		if err := emu.VerifyArch(p, b.img.Clone(), core.ArchRegs(), core.Mem(), core.Stats.Retired,
 			emu.WithQueueSizes(cfg.BQSize, cfg.VQSize, cfg.TQSize)); err != nil {
 			return nil, core, fmt.Errorf("harness: differential verification of %s/%s on %s: %w",
 				rs.Workload, rs.Variant, cfg.Name, err)

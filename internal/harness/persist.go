@@ -16,7 +16,9 @@
 // persisted: cycle budgets and wall-clock deadlines are Runner settings,
 // not properties of the spec, so a budget-bound failure in one sweep must
 // not poison an unbounded rerun. Wall-clock-dependent outcomes stay out of
-// the store entirely for the same reason.
+// the store entirely for the same reason. A deadlock (no retirement for
+// the pipeline's stall limit) is a property of the spec, so it persists
+// like any other typed fault and a resume does not re-pay the stall.
 package harness
 
 import (

@@ -13,6 +13,9 @@ import (
 
 	"cfd/internal/config"
 	"cfd/internal/fault"
+	"cfd/internal/mem"
+	"cfd/internal/obs/journal"
+	"cfd/internal/prog"
 	"cfd/internal/workload"
 )
 
@@ -457,5 +460,85 @@ func TestStoreSpecMismatchQuarantineNamesBothSpecs(t *testing.T) {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("reason %q missing %q", data, want)
 		}
+	}
+}
+
+// TestStoreResumesDeadlock: a spec whose run stops retiring fails with a
+// deadlock fault, which is a property of the spec, so the store keeps it
+// and a resumed sweep reports it as a store hit with the identical error
+// text instead of re-paying the stall window.
+func TestStoreResumesDeadlock(t *testing.T) {
+	const name = "deadlocklike-test"
+	if err := workload.Register(&workload.Spec{
+		Name:     name,
+		Variants: []workload.Variant{workload.Base},
+		DefaultN: 1024, TestN: 256,
+		Build: func(v workload.Variant, n int64) (*prog.Program, *mem.Memory, error) {
+			// A pop_vq with nothing ever pushed can never issue.
+			return prog.NewBuilder().PopVQ(5).Halt().MustBuild(), mem.New(), nil
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { workload.Deregister(name) })
+	specs := []RunSpec{
+		{Workload: name, Variant: workload.Base, Config: config.SandyBridge()},
+		persistSpecs()[0],
+	}
+	dir := testStore(t)
+	sweep := func(phase string) journal.Event {
+		t.Helper()
+		r := openTestStore(t, dir)
+		r.KeepGoing = true
+		jpath := filepath.Join(dir, phase+".journal")
+		j, err := journal.Open(jpath, "test")
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Journal = j
+		if _, err := r.Sweep(context.Background(), specs); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		events, err := journal.ReadFile(jpath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var done *journal.Event
+		for i, ev := range events {
+			switch {
+			case ev.Type == journal.WatchdogExpiry:
+				t.Errorf("%s: a deadlock journaled a watchdog expiry: %+v", phase, ev)
+			case ev.Type == journal.SpecDone && ev.Workload == name:
+				done = &events[i]
+			}
+		}
+		if done == nil {
+			t.Fatalf("%s: no spec_done for %s", phase, name)
+		}
+		if done.Fault != fault.Deadlock.String() || !strings.Contains(done.Error, "no retirement progress") {
+			t.Fatalf("%s: spec_done %+v, want a deadlock fault", phase, *done)
+		}
+		return *done
+	}
+
+	fresh := sweep("fresh")
+	if !fresh.Stored || fresh.StoreHit {
+		t.Fatalf("fresh deadlock: stored %v, store hit %v; want stored, no hit", fresh.Stored, fresh.StoreHit)
+	}
+	testOnSimulate = func(rs RunSpec) {
+		if rs.Workload == name {
+			t.Error("persisted deadlock was re-simulated")
+		}
+	}
+	defer func() { testOnSimulate = nil }()
+	resumed := sweep("resumed")
+	if !resumed.StoreHit {
+		t.Errorf("resumed deadlock is not a store hit: %+v", resumed)
+	}
+	if resumed.Error != fresh.Error {
+		t.Errorf("deadlock text drifted:\n fresh:   %s\n resumed: %s", fresh.Error, resumed.Error)
 	}
 }

@@ -11,10 +11,12 @@ import (
 // Sweep fans specs across a pool of r.jobs() workers and returns the
 // results in specs order. Duplicate specs (within the sweep or against
 // earlier runs) simulate exactly once thanks to the Runner's singleflight
-// cache. The first failing spec cancels the rest of the sweep; the error
-// reported is the failure at the lowest index, so error reporting is
-// deterministic whatever the worker count. With one worker (Jobs == 1) the
-// specs run strictly serially in submission order.
+// cache, and specs that run the same program (same workload, variant,
+// input size and queue capacities) share one build (see buildCache). The
+// first failing spec cancels the rest of the sweep; the error reported is
+// the failure at the lowest index, so error reporting is deterministic
+// whatever the worker count. With one worker (Jobs == 1) the specs run
+// strictly serially in submission order.
 //
 // With KeepGoing set, a failing spec does not cancel the sweep: every spec
 // still runs (crash containment turns panics into memoized faults), failed
@@ -32,6 +34,7 @@ func (r *Runner) Sweep(ctx context.Context, specs []RunSpec) ([]*Result, error) 
 	}
 	sw := r.beginSweep(len(specs), jobs)
 	defer sw.finish()
+	builds := newBuildCache()
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	errs := make([]error, len(specs))
@@ -51,7 +54,7 @@ func (r *Runner) Sweep(ctx context.Context, specs []RunSpec) ([]*Result, error) 
 					continue
 				}
 				sw.submit(specs[i])
-				res, err, info := r.runCtx(ctx, specs[i], sw.id())
+				res, err, info := r.runCtx(ctx, specs[i], sw.id(), builds)
 				sw.done(specs[i], res, err, info)
 				if err != nil {
 					errs[i] = err

@@ -10,46 +10,81 @@ const PageSize = 4096
 
 type page [PageSize]byte
 
+// pageRef is one page of a Memory's page table. owned means no other Memory
+// holds the page, so it is written in place; a page shared with a clone is
+// copied by whichever of the two writes it first.
+type pageRef struct {
+	p     *page
+	owned bool
+}
+
 // Memory is a sparse 64-bit byte-addressable memory. The zero value is not
 // usable; call New. Unwritten bytes read as zero.
 //
-// A Memory is single-writer: the engines own their memories for the length
-// of a run. Reads also update the internal last-page cache, so even
-// read-only sharing across goroutines is not safe.
+// A Memory has one user at a time: the engines own their memories for the
+// length of a run, and every access, reads included, updates the internal
+// last-page cache. Clone is the exception. A clone shares every page with
+// its source, and the first write to a shared page, by either side, copies
+// that page, so cloning costs one page-table entry per page. Clone writes
+// to its source only to give up the source's ownership of its pages; a
+// Memory that owns no page (any clone, until it is written) is only read
+// by Clone, so goroutines may clone one such image concurrently, as long as
+// none of them reads or writes it otherwise.
 type Memory struct {
-	pages map[uint64]*page
+	pages map[uint64]pageRef
+	owns  bool // some page is owned
 
 	// Last-page cache: simulated accesses are heavily page-local, so one
 	// remembered (page number, page) pair turns most lookups into a
 	// compare. lastPage == nil means the cache is empty (never that the
-	// page is absent).
-	lastPN   uint64
-	lastPage *page
+	// page is absent); lastOwned means lastPage may be written in place.
+	lastPN    uint64
+	lastPage  *page
+	lastOwned bool
 }
 
 // New returns an empty memory.
-func New() *Memory { return &Memory{pages: make(map[uint64]*page)} }
+func New() *Memory { return &Memory{pages: make(map[uint64]pageRef)} }
 
-func (m *Memory) pageFor(addr uint64, alloc bool) *page {
+// readPage returns addr's page for reading, or nil when it was never
+// written.
+func (m *Memory) readPage(addr uint64) *page {
 	pn := addr / PageSize
 	if m.lastPage != nil && m.lastPN == pn {
 		return m.lastPage
 	}
-	p := m.pages[pn]
-	if p == nil {
-		if !alloc {
-			return nil
-		}
-		p = new(page)
-		m.pages[pn] = p
+	r, ok := m.pages[pn]
+	if !ok {
+		return nil
 	}
-	m.lastPN, m.lastPage = pn, p
-	return p
+	m.lastPN, m.lastPage, m.lastOwned = pn, r.p, r.owned
+	return r.p
+}
+
+// writePage returns addr's page for writing: allocated when absent, and
+// copied first when it is shared.
+func (m *Memory) writePage(addr uint64) *page {
+	pn := addr / PageSize
+	if m.lastOwned && m.lastPN == pn {
+		return m.lastPage
+	}
+	r := m.pages[pn]
+	if !r.owned {
+		p := new(page)
+		if r.p != nil {
+			*p = *r.p
+		}
+		r = pageRef{p: p, owned: true}
+		m.pages[pn] = r
+		m.owns = true
+	}
+	m.lastPN, m.lastPage, m.lastOwned = pn, r.p, true
+	return r.p
 }
 
 // LoadByte returns the byte at addr.
 func (m *Memory) LoadByte(addr uint64) byte {
-	p := m.pageFor(addr, false)
+	p := m.readPage(addr)
 	if p == nil {
 		return 0
 	}
@@ -58,7 +93,7 @@ func (m *Memory) LoadByte(addr uint64) byte {
 
 // StoreByte stores b at addr.
 func (m *Memory) StoreByte(addr uint64, b byte) {
-	m.pageFor(addr, true)[addr%PageSize] = b
+	m.writePage(addr)[addr%PageSize] = b
 }
 
 // Read returns size bytes (1, 2, 4, or 8) at addr as a little-endian,
@@ -66,7 +101,7 @@ func (m *Memory) StoreByte(addr uint64, b byte) {
 func (m *Memory) Read(addr uint64, size int) uint64 {
 	off := addr % PageSize
 	if off+uint64(size) <= PageSize {
-		p := m.pageFor(addr, false)
+		p := m.readPage(addr)
 		if p == nil {
 			return 0
 		}
@@ -94,7 +129,7 @@ func (m *Memory) Read(addr uint64, size int) uint64 {
 func (m *Memory) Write(addr uint64, size int, val uint64) {
 	off := addr % PageSize
 	if off+uint64(size) <= PageSize {
-		p := m.pageFor(addr, true)
+		p := m.writePage(addr)
 		switch size {
 		case 8:
 			binary.LittleEndian.PutUint64(p[off:], val)
@@ -123,7 +158,7 @@ func (m *Memory) LoadBytes(addr uint64, dst []byte) {
 		if n > uint64(len(dst)) {
 			n = uint64(len(dst))
 		}
-		if p := m.pageFor(addr, false); p != nil {
+		if p := m.readPage(addr); p != nil {
 			copy(dst[:n], p[off:off+n])
 		} else {
 			for i := uint64(0); i < n; i++ {
@@ -143,7 +178,7 @@ func (m *Memory) StoreBytes(addr uint64, src []byte) {
 		if n > uint64(len(src)) {
 			n = uint64(len(src))
 		}
-		copy(m.pageFor(addr, true)[off:off+n], src[:n])
+		copy(m.writePage(addr)[off:off+n], src[:n])
 		src = src[n:]
 		addr += n
 	}
@@ -161,35 +196,46 @@ func (m *Memory) WriteUint64s(addr uint64, vals []uint64) uint64 {
 	return addr
 }
 
-// Clone returns a deep copy of the memory.
+// Clone returns a copy of the memory that shares every page with m until
+// one side writes it. Cloning a Memory that owns no page writes nothing to
+// it.
 func (m *Memory) Clone() *Memory {
-	c := New()
-	for pn, p := range m.pages {
-		cp := *p
-		c.pages[pn] = &cp
+	c := &Memory{pages: make(map[uint64]pageRef, len(m.pages))}
+	for pn, r := range m.pages {
+		c.pages[pn] = pageRef{p: r.p}
+	}
+	if m.owns {
+		for pn, r := range m.pages {
+			if r.owned {
+				m.pages[pn] = pageRef{p: r.p}
+			}
+		}
+		m.owns, m.lastOwned = false, false
 	}
 	return c
 }
 
 // Equal reports whether two memories hold identical contents (treating
-// absent pages as zero-filled).
+// absent pages as zero-filled). Pages the two share are equal without a
+// compare.
 func (m *Memory) Equal(o *Memory) bool {
-	check := func(a, b *Memory) bool {
-		for pn, p := range a.pages {
-			q := b.pages[pn]
-			if q == nil {
-				if *p != (page{}) {
-					return false
-				}
-				continue
-			}
-			if *p != *q {
+	for pn, r := range m.pages {
+		q, ok := o.pages[pn]
+		switch {
+		case !ok:
+			if *r.p != (page{}) {
 				return false
 			}
+		case q.p != r.p && *q.p != *r.p:
+			return false
 		}
-		return true
 	}
-	return check(m, o) && check(o, m)
+	for pn, q := range o.pages {
+		if _, ok := m.pages[pn]; !ok && *q.p != (page{}) {
+			return false
+		}
+	}
+	return true
 }
 
 // Checksum returns an order-independent-free (deterministic, order-defined)
@@ -213,7 +259,7 @@ func (m *Memory) Checksum() uint64 {
 	)
 	h := uint64(offset)
 	for _, pn := range pns {
-		p := m.pages[pn]
+		p := m.pages[pn].p
 		if *p == (page{}) {
 			continue
 		}

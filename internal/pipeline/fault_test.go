@@ -94,7 +94,7 @@ func TestPipelineFaultPopTQOverflowBit(t *testing.T) {
 }
 
 // TestPipelineFaultBQOverflowDeadlock: pushing past the architectural BQ
-// size stalls fetch forever; the no-retirement watchdog converts the hang
+// size stalls fetch forever; the no-retirement detector converts the hang
 // into a typed deadlock fault instead of spinning.
 func TestPipelineFaultBQOverflowDeadlock(t *testing.T) {
 	cfg := testConfig()
@@ -104,7 +104,7 @@ func TestPipelineFaultBQOverflowDeadlock(t *testing.T) {
 		b.PushBQ(1)
 	}
 	p := b.Halt().MustBuild()
-	f := runForFault(t, cfg, p, fault.WatchdogExpiry, WithDeadlockLimit(2000))
+	f := runForFault(t, cfg, p, fault.Deadlock, WithDeadlockLimit(2000))
 	if !errors.Is(f, ErrDeadlock) {
 		t.Fatalf("fault %v does not wrap ErrDeadlock", f)
 	}
@@ -114,10 +114,10 @@ func TestPipelineFaultBQOverflowDeadlock(t *testing.T) {
 }
 
 // TestPipelineFaultVQUnderflowDeadlock: a pop_vq with nothing ever pushed
-// can never issue; the deadlock watchdog reports it with state.
+// can never issue; the deadlock detector reports it with state.
 func TestPipelineFaultVQUnderflowDeadlock(t *testing.T) {
 	p := prog.NewBuilder().PopVQ(5).Halt().MustBuild()
-	f := runForFault(t, testConfig(), p, fault.WatchdogExpiry, WithDeadlockLimit(2000))
+	f := runForFault(t, testConfig(), p, fault.Deadlock, WithDeadlockLimit(2000))
 	if !errors.Is(f, ErrDeadlock) {
 		t.Fatalf("fault %v does not wrap ErrDeadlock", f)
 	}
@@ -129,7 +129,7 @@ func TestPipelineFaultVQUnderflowDeadlock(t *testing.T) {
 // TestPipelineFaultTQUnderflowDeadlock: same for the trip-count queue.
 func TestPipelineFaultTQUnderflowDeadlock(t *testing.T) {
 	p := prog.NewBuilder().PopTQ().Halt().MustBuild()
-	f := runForFault(t, testConfig(), p, fault.WatchdogExpiry, WithDeadlockLimit(2000))
+	f := runForFault(t, testConfig(), p, fault.Deadlock, WithDeadlockLimit(2000))
 	if !errors.Is(f, ErrDeadlock) {
 		t.Fatalf("fault %v does not wrap ErrDeadlock", f)
 	}

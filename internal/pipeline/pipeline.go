@@ -40,8 +40,8 @@ import (
 // exhausted before HALT retires.
 var ErrLimit = errors.New("pipeline: instruction limit reached")
 
-// ErrDeadlock is returned when no instruction retires for a long time —
-// always a model or program bug.
+// ErrDeadlock is returned, inside a fault.Deadlock fault, when no
+// instruction retires for a long time — always a model or program bug.
 var ErrDeadlock = errors.New("pipeline: no retirement progress (deadlock)")
 
 const noReg = int32(-1)
@@ -730,7 +730,7 @@ func (c *Core) runCtx(ctx context.Context, maxRetired uint64) error {
 			c.idleSkip(wd, limit)
 		}
 		if c.now-c.lastRetireCycle > limit {
-			return fault.Wrap(fault.WatchdogExpiry,
+			return fault.Wrap(fault.Deadlock,
 				fmt.Errorf("%w at cycle %d (pc %d)", ErrDeadlock, c.now, c.fetchPC),
 				c.snapshot())
 		}

@@ -7,7 +7,7 @@ package predictor
 // like every other branch so a queue-resolved taken pop pays no penalty on
 // a BTB hit.
 type BTB struct {
-	sets    [][]btbEntry
+	entries []btbEntry // set s holds entries[s*ways : (s+1)*ways]
 	setMask uint64
 	ways    int
 	hits    uint64
@@ -27,20 +27,22 @@ type btbEntry struct {
 
 // NewBTB returns a BTB with 2^logSets sets of the given associativity.
 func NewBTB(logSets, ways int) *BTB {
-	b := &BTB{
-		sets:    make([][]btbEntry, 1<<logSets),
+	return &BTB{
+		entries: make([]btbEntry, ways<<logSets),
 		setMask: 1<<logSets - 1,
 		ways:    ways,
 	}
-	for i := range b.sets {
-		b.sets[i] = make([]btbEntry, ways)
-	}
-	return b
+}
+
+// set returns the ways of pc's set.
+func (b *BTB) set(pc uint64) []btbEntry {
+	i := int(pc&b.setMask) * b.ways
+	return b.entries[i : i+b.ways]
 }
 
 // Lookup returns the cached taken-target for pc.
 func (b *BTB) Lookup(pc uint64) (target uint64, hit bool) {
-	set := b.sets[pc&b.setMask]
+	set := b.set(pc)
 	tag := pc >> 1
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
@@ -56,7 +58,7 @@ func (b *BTB) Lookup(pc uint64) (target uint64, hit bool) {
 
 // Insert records pc's taken-target, replacing the LRU way on conflict.
 func (b *BTB) Insert(pc, target uint64) {
-	set := b.sets[pc&b.setMask]
+	set := b.set(pc)
 	tag := pc >> 1
 	victim := 0
 	for i := range set {
