@@ -322,34 +322,27 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		}
 	}
 	var sampler *obs.HostSampler
-	var srv *serve.Server
-	if *listenAddr != "" || *hostSample > 0 {
-		reg := obs.NewRegistry()
-		r.RegisterMetrics(reg)
-		if r.Store != nil {
-			r.Store.RegisterMetrics(reg)
+	if *hostSample > 0 {
+		sampler = obs.StartHostSampler(*hostSample, func(hs obs.HostStats) {
+			jr.TryEmit(journal.Event{Type: journal.HostSample, Host: &hs})
+		})
+		defer sampler.Stop()
+	}
+	if *listenAddr != "" {
+		srv := serve.New("cfdbench", tr)
+		srv.Runner = r
+		srv.Journal = jr
+		srv.Host = sampler
+		addr, err := srv.Start(*listenAddr)
+		if err != nil {
+			return errorf("%v", err)
 		}
-		if *hostSample > 0 {
-			sampler = obs.StartHostSampler(reg, *hostSample, func(hs obs.HostStats) {
-				jr.TryEmit(journal.Event{Type: journal.HostSample, Host: &hs})
-			})
-			defer sampler.Stop()
-		}
-		if *listenAddr != "" {
-			srv = serve.New("cfdbench", reg, tr)
-			srv.Runner = r
-			srv.Journal = jr
-			addr, err := srv.Start(*listenAddr)
-			if err != nil {
-				return errorf("%v", err)
-			}
-			fmt.Fprintf(stderr, "cfdbench: serving /metrics, /status, /debug/pprof on http://%s\n", addr)
-			defer func() {
-				sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-				defer cancel()
-				srv.Shutdown(sctx) //nolint:errcheck // best-effort teardown
-			}()
-		}
+		fmt.Fprintf(stderr, "cfdbench: serving /metrics, /status, /debug/pprof on http://%s\n", addr)
+		defer func() {
+			sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
+			srv.Shutdown(sctx) //nolint:errcheck // best-effort teardown
+		}()
 	}
 	var records []export.Experiment
 	failedExps := 0
@@ -465,18 +458,15 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 				Specs:   len(mfSpecs),
 			}
 		}
-		var err error
-		if *jsonPath == "-" {
-			err = export.Encode(stdout, doc)
-		} else {
-			err = export.WriteFile(*jsonPath, doc)
-		}
-		if err != nil {
+		if err := writeArtifact(stdout, *jsonPath,
+			func(w io.Writer) error { return export.Encode(w, doc) },
+			func(path string) error { return export.WriteFile(path, doc) }); err != nil {
 			return errorf("%v", err)
 		}
 	}
 	if *traceOut != "" {
-		if err := journal.Trace(specsDone).WriteFile(*traceOut); err != nil {
+		tr := journal.Trace(specsDone)
+		if err := writeArtifact(stdout, *traceOut, tr.Encode, tr.WriteFile); err != nil {
 			return errorf("%v", err)
 		}
 	}
@@ -505,6 +495,15 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		return errorf("%d experiment(s) had failing runs (recorded in the JSON faults section)", failedExps)
 	}
 	return 0
+}
+
+// writeArtifact writes one output file of the command: to the command's
+// own stdout with encode when path is "-", else to path with writeFile.
+func writeArtifact(stdout io.Writer, path string, encode func(io.Writer) error, writeFile func(string) error) error {
+	if path == "-" {
+		return encode(stdout)
+	}
+	return writeFile(path)
 }
 
 // manifestName labels a manifest run: the declared name, or the file path

@@ -270,12 +270,15 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		} else {
 			doc.Runs = []export.Run{export.FromResult(res)}
 		}
-		if werr := writeDoc(stdout, *jsonPath, doc); werr != nil {
+		if werr := writeArtifact(stdout, *jsonPath,
+			func(w io.Writer) error { return export.Encode(w, doc) },
+			func(path string) error { return export.WriteFile(path, doc) }); werr != nil {
 			code = fatalf(stderr, "%v", werr)
 		}
 	}
 	if *traceOut != "" && core != nil {
-		if werr := core.PerfettoTrace().WriteFile(*traceOut); werr != nil {
+		tr := core.PerfettoTrace()
+		if werr := writeArtifact(stdout, *traceOut, tr.Encode, tr.WriteFile); werr != nil {
 			code = fatalf(stderr, "%v", werr)
 		}
 	}
@@ -330,12 +333,13 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// writeDoc writes an export document to path ('-' = stdout).
-func writeDoc(stdout io.Writer, path string, doc *export.Document) error {
+// writeArtifact writes one output file of the command: to the command's
+// own stdout with encode when path is "-", else to path with writeFile.
+func writeArtifact(stdout io.Writer, path string, encode func(io.Writer) error, writeFile func(string) error) error {
 	if path == "-" {
-		return export.Encode(stdout, doc)
+		return encode(stdout)
 	}
-	return export.WriteFile(path, doc)
+	return writeFile(path)
 }
 
 // runCampaign executes the seeded fault-injection campaign, prints the
@@ -388,12 +392,9 @@ func finishCampaign(stdout, stderr io.Writer, rep *faultinject.Report, n int, js
 			return fatalf(stderr, "%v", err)
 		}
 		data = append(data, '\n')
-		if jsonPath == "-" {
-			_, err = stdout.Write(data)
-		} else {
-			err = os.WriteFile(jsonPath, data, 0o644)
-		}
-		if err != nil {
+		if err := writeArtifact(stdout, jsonPath,
+			func(w io.Writer) error { _, err := w.Write(data); return err },
+			func(path string) error { return os.WriteFile(path, data, 0o644) }); err != nil {
 			return fatalf(stderr, "%v", err)
 		}
 	}

@@ -54,6 +54,28 @@ func TestObservabilitySnapshot(t *testing.T) {
 	}
 }
 
+// TestTraceOutStdout: -trace-out - writes the trace to the stdout run was
+// given, after the run's statistics, and the trace found there is well
+// formed.
+func TestTraceOutStdout(t *testing.T) {
+	code, stdout, stderr := cfdsim(t, "-workload", "soplexlike", "-variant", "cfd", "-n", "2000",
+		"-trace-out", "-", "-trace-limit", "100")
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr)
+	}
+	i := strings.Index(stdout, "\n{\n")
+	if i < 0 || !strings.HasPrefix(stdout, "workload ") {
+		t.Fatalf("stdout does not hold the statistics and then a trace:\n%s", stdout)
+	}
+	n, err := obs.ValidateTrace(strings.NewReader(stdout[i+1:]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n == 0 {
+		t.Error("trace on stdout has no events")
+	}
+}
+
 // TestWatchdogFaultOutputs: a run the cycle budget stops exits 1 and still
 // writes a document holding its one fault and a valid journal recording it.
 func TestWatchdogFaultOutputs(t *testing.T) {

@@ -63,7 +63,7 @@ type Machine struct {
 	tracer Tracer
 	wd     *fault.Watchdog
 	obsv   *obs.Observer
-	diag   retRing
+	diag   fault.Ring
 
 	// ctxImg is the reusable queue save/restore image buffer; switches
 	// happen in loops and a fresh image per switch is measurable churn.
@@ -381,7 +381,7 @@ func (m *Machine) Step() error {
 
 	m.PC = next
 	m.Retired++
-	m.diag.record(pc, in)
+	m.diag.Record(pc, in)
 	if m.obsv != nil {
 		m.obsTick()
 	}
@@ -417,15 +417,7 @@ func (m *Machine) RunCtx(ctx context.Context, limit uint64) error {
 }
 
 func (m *Machine) runCtx(ctx context.Context, limit uint64) error {
-	wd := m.wd
-	if ctx != nil && ctx.Done() != nil {
-		w := fault.Watchdog{}
-		if wd != nil {
-			w = *wd
-		}
-		w.Ctx = ctx
-		wd = &w
-	}
+	wd := m.wd.WithContext(ctx)
 	for !m.Halted {
 		if limit != 0 && m.Retired >= limit {
 			return ErrLimit

@@ -40,16 +40,3 @@ func (m *Machine) FinishObservation() {
 		m.obsv.Finish(m.intervalCounters())
 	}
 }
-
-// RegisterProbes registers the machine's live architectural state as named
-// probes: retirement count, PC, TCR, and the architectural queue
-// occupancies. Probes are pull-based, so registration adds no per-step
-// cost. No-op on a nil registry.
-func (m *Machine) RegisterProbes(reg *obs.Registry) {
-	reg.RegisterProbe("emu.retired", obs.ProbeFunc(func() float64 { return float64(m.Retired) }))
-	reg.RegisterProbe("emu.pc", obs.ProbeFunc(func() float64 { return float64(m.PC) }))
-	reg.RegisterProbe("emu.tcr", obs.ProbeFunc(func() float64 { return float64(m.TCR) }))
-	reg.RegisterProbe("emu.bq_occ", obs.ProbeFunc(func() float64 { return float64(m.BQ.Len()) }))
-	reg.RegisterProbe("emu.vq_occ", obs.ProbeFunc(func() float64 { return float64(m.VQ.Len()) }))
-	reg.RegisterProbe("emu.tq_occ", obs.ProbeFunc(func() float64 { return float64(m.TQ.Len()) }))
-}

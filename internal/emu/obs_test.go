@@ -73,17 +73,3 @@ func TestMachineObserverDeterministic(t *testing.T) {
 		t.Error("occupancy differs between identical runs")
 	}
 }
-
-func TestMachineRegisterProbes(t *testing.T) {
-	m := obsEmuRun(t, 0)
-	reg := obs.NewRegistry()
-	m.RegisterProbes(reg)
-	snap := reg.Snapshot()
-	if snap["emu.retired"] != float64(m.Retired) {
-		t.Errorf("emu.retired probe = %v, want %d", snap["emu.retired"], m.Retired)
-	}
-	if snap["emu.bq_occ"] != float64(m.BQ.Len()) {
-		t.Errorf("emu.bq_occ probe = %v, want %d", snap["emu.bq_occ"], m.BQ.Len())
-	}
-	m.RegisterProbes(nil) // no-op, not a panic
-}

@@ -334,11 +334,8 @@ func Encode(w io.Writer, doc *Document) error {
 	return err
 }
 
-// WriteFile writes the document to path ("-" = stdout).
+// WriteFile writes the document to the file at path.
 func WriteFile(path string, doc *Document) error {
-	if path == "-" {
-		return Encode(os.Stdout, doc)
-	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err

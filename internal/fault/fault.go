@@ -21,6 +21,8 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+
+	"cfd/internal/isa"
 )
 
 // Kind classifies a fault.
@@ -190,3 +192,46 @@ func FromPanic(v any, stack []byte, snap Snapshot) *Fault {
 // RingDepth is the number of retired instructions engines keep in their
 // diagnostic rings for Snapshot.LastRetired.
 const RingDepth = 8
+
+// Ring keeps the last RingDepth retired instructions for fault snapshots.
+// It stores raw (pc, inst) pairs, so recording on an engine's retire path
+// never allocates; rendering happens only when a snapshot is taken.
+type Ring struct {
+	buf  [RingDepth]ringEntry
+	next int
+	full bool
+}
+
+type ringEntry struct {
+	pc uint64
+	in isa.Inst
+}
+
+// Record appends one retired instruction, overwriting the oldest once the
+// ring is full.
+func (r *Ring) Record(pc uint64, in isa.Inst) {
+	r.buf[r.next] = ringEntry{pc, in}
+	r.next++
+	if r.next == len(r.buf) {
+		r.next, r.full = 0, true
+	}
+}
+
+// Last renders the recorded instructions, oldest first.
+func (r *Ring) Last() []RetiredInst {
+	n := r.next
+	if r.full {
+		n = len(r.buf)
+	}
+	out := make([]RetiredInst, 0, n)
+	emit := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out = append(out, RetiredInst{PC: r.buf[i].pc, Text: r.buf[i].in.String()})
+		}
+	}
+	if r.full {
+		emit(r.next, len(r.buf))
+	}
+	emit(0, r.next)
+	return out
+}

@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"cfd/internal/isa"
 )
 
 func TestErrorFormatDeterministic(t *testing.T) {
@@ -166,5 +169,64 @@ func TestKindStrings(t *testing.T) {
 		if s == "" || strings.Contains(s, "Kind(") {
 			t.Errorf("kind %d has no name: %q", k, s)
 		}
+	}
+}
+
+// TestRingOldestFirst pins the retired-instruction ring: a partial ring
+// lists what it holds, and a wrapped ring keeps the last RingDepth
+// instructions; both oldest first.
+func TestRingOldestFirst(t *testing.T) {
+	pcs := func(last []RetiredInst) []uint64 {
+		out := []uint64{}
+		for _, r := range last {
+			out = append(out, r.PC)
+		}
+		return out
+	}
+	var r Ring
+	if got := r.Last(); len(got) != 0 {
+		t.Fatalf("empty ring lists %v", got)
+	}
+	for pc := uint64(1); pc <= 3; pc++ {
+		r.Record(pc, isa.Inst{Op: isa.ADDI, Rd: 1, Imm: int64(pc)})
+	}
+	if got, want := pcs(r.Last()), []uint64{1, 2, 3}; !reflect.DeepEqual(got, want) {
+		t.Errorf("partial ring lists pcs %v, want %v", got, want)
+	}
+	if got, want := r.Last()[2].Text, (isa.Inst{Op: isa.ADDI, Rd: 1, Imm: 3}).String(); got != want {
+		t.Errorf("newest entry renders %q, want %q", got, want)
+	}
+	for pc := uint64(4); pc <= RingDepth+5; pc++ {
+		r.Record(pc, isa.Inst{Op: isa.NOP})
+	}
+	want := []uint64{}
+	for pc := uint64(6); pc <= RingDepth+5; pc++ {
+		want = append(want, pc)
+	}
+	if got := pcs(r.Last()); !reflect.DeepEqual(got, want) {
+		t.Errorf("wrapped ring lists pcs %v, want %v", got, want)
+	}
+}
+
+// TestWatchdogWithContext: a context that can never be done leaves the
+// watchdog as it is; one that can is folded into a copy, and the
+// caller's watchdog is not modified.
+func TestWatchdogWithContext(t *testing.T) {
+	w := &Watchdog{MaxCycles: 7}
+	if got := w.WithContext(context.Background()); got != w {
+		t.Error("a never-done context copied the watchdog")
+	}
+	var nilW *Watchdog
+	if got := nilW.WithContext(context.Background()); got != nil {
+		t.Error("a never-done context made a watchdog")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got := w.WithContext(ctx)
+	if got == w || got.MaxCycles != 7 || got.Ctx != ctx || w.Ctx != nil {
+		t.Errorf("WithContext = %+v (caller's now %+v)", got, w)
+	}
+	if got := nilW.WithContext(ctx); got == nil || got.Ctx != ctx || got.MaxCycles != 0 {
+		t.Errorf("nil watchdog WithContext = %+v", got)
 	}
 }

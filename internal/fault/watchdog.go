@@ -39,6 +39,21 @@ func WithTimeout(maxCycles uint64, d time.Duration) *Watchdog {
 	return w
 }
 
+// WithContext returns the watchdog a run under ctx checks: w itself when
+// ctx can never be done, else a run-local copy of w (of the zero watchdog
+// for a nil w) that also stops when ctx is done.
+func (w *Watchdog) WithContext(ctx context.Context) *Watchdog {
+	if ctx == nil || ctx.Done() == nil {
+		return w
+	}
+	var c Watchdog
+	if w != nil {
+		c = *w
+	}
+	c.Ctx = ctx
+	return &c
+}
+
 // Enabled reports whether any bound is set.
 func (w *Watchdog) Enabled() bool {
 	return w != nil && (w.MaxCycles != 0 || !w.Deadline.IsZero() || w.Ctx != nil)

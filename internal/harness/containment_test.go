@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -144,6 +145,27 @@ func TestRunWatchdogFault(t *testing.T) {
 	f, ok := fault.As(err)
 	if !ok || f.Kind != fault.WatchdogExpiry {
 		t.Fatalf("err = %v, want watchdog-expiry fault", err)
+	}
+}
+
+// TestOwnProgramsUnderRunnerBudget: the experiments that build their own
+// programs run them through Simulate with the Runner's settings, so its
+// cycle budget stops them with a typed watchdog fault, and -verify
+// replays them on the emulator.
+func TestOwnProgramsUnderRunnerBudget(t *testing.T) {
+	for _, id := range []string{"ablation-ifconv", "ablation-xform"} {
+		e, _ := ByID(id)
+		r := NewRunner(0.02)
+		r.MaxCycles = 1000
+		err := r.RunExperiment(e, io.Discard)
+		if f, ok := fault.As(err); !ok || f.Kind != fault.WatchdogExpiry {
+			t.Errorf("%s with MaxCycles 1000: err = %v, want a watchdog-expiry fault", id, err)
+		}
+		r = NewRunner(0.02)
+		r.Verify = true
+		if err := r.RunExperiment(e, io.Discard); err != nil {
+			t.Errorf("%s under -verify: %v", id, err)
+		}
 	}
 }
 

@@ -379,11 +379,7 @@ var (
 // workload builder) is contained here and memoized as a RuntimePanic fault,
 // so one dying run cannot take down a sweep's worker pool.
 func (r *Runner) simulate(rs RunSpec, builds *buildCache) (res *Result, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			res, err = nil, panicError(rs, fault.FromPanic(v, debug.Stack(), fault.Snapshot{Engine: "harness"}))
-		}
-	}()
+	defer containPanic(rs, &res, &err)
 	if h := testOnSimulate; h != nil {
 		h(rs)
 	}
@@ -395,8 +391,36 @@ func (r *Runner) simulate(rs RunSpec, builds *buildCache) (res *Result, err erro
 	if err != nil {
 		return nil, err
 	}
+	return r.runBuild(rs, b)
+}
+
+// runBuild runs b as rs under the Runner's verify flag and watchdog.
+func (r *Runner) runBuild(rs RunSpec, b *Build) (res *Result, err error) {
+	defer containPanic(rs, &res, &err)
 	res, _, err = Simulate(rs, b, r.Verify, r.watchdog())
 	return res, err
+}
+
+// ownRun is one simulation of a program that an experiment builds itself,
+// outside the registered workloads, the cache and the sweeps.
+type ownRun struct {
+	rs RunSpec
+	b  *Build
+}
+
+// runOwn runs an experiment's own programs across the worker pool, each
+// through runBuild, and returns their results in order; the first error
+// stops the rest.
+func (r *Runner) runOwn(runs []ownRun) ([]*Result, error) {
+	return mapConcurrently(r.jobs(), runs, func(o ownRun) (*Result, error) { return r.runBuild(o.rs, o.b) })
+}
+
+// containPanic, deferred, turns a panic in rs's build or run into its
+// runtime-panic fault.
+func containPanic(rs RunSpec, res **Result, err *error) {
+	if v := recover(); v != nil {
+		*res, *err = nil, panicError(rs, fault.FromPanic(v, debug.Stack(), fault.Snapshot{Engine: "harness"}))
+	}
 }
 
 // Simulate is the one step from a RunSpec and its Build to a simulated run,

@@ -6,9 +6,9 @@ import (
 
 	"cfd/internal/config"
 	"cfd/internal/isa"
-	"cfd/internal/pipeline"
-	"cfd/internal/prog"
+	"cfd/internal/mem"
 	"cfd/internal/stats"
+	"cfd/internal/workload"
 	"cfd/internal/xform"
 )
 
@@ -34,8 +34,10 @@ func runIfConvCrossover(r *Runner, w io.Writer) error {
 	}
 	cdSizes := []int{1, 4, 10, 18, 26}
 	// Build the 3 program variants per CD size serially (cheap), then run
-	// all 15 simulations concurrently.
-	var progs []*prog.Program
+	// all 15 simulations concurrently. The kernel needs no memory image.
+	cfg := config.SandyBridge()
+	img := mem.New()
+	var runs []ownRun
 	for _, cd := range cdSizes {
 		k := crossoverKernel(n, cd)
 		base, err := k.Base()
@@ -46,22 +48,17 @@ func runIfConvCrossover(r *Runner, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		cfdP, err := k.CFD(xform.ParamsFrom(config.SandyBridge()), true)
+		cfdP, err := k.CFD(xform.ParamsFrom(cfg), true)
 		if err != nil {
 			return err
 		}
-		progs = append(progs, base, ic, cfdP)
+		name := fmt.Sprintf("crossover-cd%d", cd)
+		runs = append(runs,
+			ownRun{RunSpec{Workload: name, Variant: workload.Base, Config: cfg}, newBuild(base, img)},
+			ownRun{RunSpec{Workload: name, Variant: "ifconvert", Config: cfg}, newBuild(ic, img)},
+			ownRun{RunSpec{Workload: name, Variant: workload.CFDPlus, Config: cfg}, newBuild(cfdP, img)})
 	}
-	cycles, err := mapConcurrently(r.jobs(), progs, func(p *prog.Program) (uint64, error) {
-		core, err := pipeline.New(config.SandyBridge(), p, nil)
-		if err != nil {
-			return 0, err
-		}
-		if err := core.Run(0); err != nil {
-			return 0, err
-		}
-		return core.Stats.Cycles, nil
-	})
+	res, err := r.runOwn(runs)
 	if err != nil {
 		return err
 	}
@@ -69,7 +66,7 @@ func runIfConvCrossover(r *Runner, w io.Writer) error {
 	t := stats.NewTable("speedup vs base per CD size (compute-only kernel, ~50% taken)",
 		"CD insts", "if-conversion", "cfd (VQ)", "winner")
 	for i, cd := range cdSizes {
-		bc, icc, cc := cycles[3*i], cycles[3*i+1], cycles[3*i+2]
+		bc, icc, cc := res[3*i].Stats.Cycles, res[3*i+1].Stats.Cycles, res[3*i+2].Stats.Cycles
 		icSp := float64(bc) / float64(icc)
 		cfdSp := float64(bc) / float64(cc)
 		winner := "if-conversion"

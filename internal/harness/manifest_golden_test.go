@@ -2,10 +2,12 @@ package harness
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"cfd/internal/manifest"
@@ -177,4 +179,53 @@ func diffLines(got, want string) string {
 		}
 	}
 	return b.String()
+}
+
+// TestAssemblyLooksUpOnlyManifestSpecs: an experiment's assembly phase
+// looks up only specs its manifest declares. Once the manifest's specs are
+// prefetched, Run simulates nothing. A spec the manifest missed would run
+// serially during assembly, outside every sweep and the journal.
+func TestAssemblyLooksUpOnlyManifestSpecs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("long")
+	}
+	var (
+		mu         sync.Mutex
+		undeclared []string
+	)
+	testOnSimulate = func(rs RunSpec) {
+		mu.Lock()
+		undeclared = append(undeclared, rs.key())
+		mu.Unlock()
+	}
+	defer func() { testOnSimulate = nil }()
+	checked := 0
+	for _, e := range AllExperiments() {
+		if e.Manifest == nil {
+			continue
+		}
+		specs, err := e.Specs()
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		r := NewRunner(0.02)
+		r.KeepGoing = true
+		r.Prefetch(specs...) //nolint:errcheck // failed specs are memoized as faults
+		mu.Lock()
+		undeclared = nil
+		mu.Unlock()
+		if err := e.Run(r, io.Discard); err != nil {
+			t.Errorf("%s: %v", e.ID, err)
+		}
+		mu.Lock()
+		if len(undeclared) > 0 {
+			t.Errorf("%s: assembly simulated %d specs its manifest does not declare, first %s",
+				e.ID, len(undeclared), undeclared[0])
+		}
+		mu.Unlock()
+		checked++
+	}
+	if checked != len(AllExperiments())-len(nonManifestExps) {
+		t.Errorf("checked %d experiments, want every one with a manifest", checked)
+	}
 }

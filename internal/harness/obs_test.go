@@ -227,17 +227,3 @@ func TestSweepProgressCompleteness(t *testing.T) {
 		}
 	}
 }
-
-func TestRegisterMetrics(t *testing.T) {
-	r := NewRunner(0.02)
-	reg := obs.NewRegistry()
-	r.RegisterMetrics(reg)
-	if _, err := r.Run(obsSpecs()[0]); err != nil {
-		t.Fatal(err)
-	}
-	snap := reg.Snapshot()
-	if snap["harness.lookups"] != 1 || snap["harness.simulations"] != 1 {
-		t.Errorf("probe snapshot %v, want 1 lookup / 1 simulation", snap)
-	}
-	r.RegisterMetrics(nil) // no-op, not a panic
-}

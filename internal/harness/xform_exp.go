@@ -8,9 +8,9 @@ import (
 	"cfd/internal/config"
 	"cfd/internal/isa"
 	"cfd/internal/mem"
-	"cfd/internal/pipeline"
 	"cfd/internal/prog"
 	"cfd/internal/stats"
+	"cfd/internal/workload"
 	"cfd/internal/xform"
 )
 
@@ -55,7 +55,8 @@ func runXformAblation(r *Runner, w io.Writer) error {
 		NoAlias: true,
 		Note:    "auto: test[i] > theeps",
 	}
-	params := xform.ParamsFrom(config.SandyBridge())
+	cfg := config.SandyBridge()
+	params := xform.ParamsFrom(cfg)
 	cls, err := k.Classify()
 	if err != nil {
 		return err
@@ -70,16 +71,13 @@ func runXformAblation(r *Runner, w io.Writer) error {
 		}
 	}
 
-	data := func() *mem.Memory {
-		rng := rand.New(rand.NewSource(77))
-		m := mem.New()
-		vals := make([]uint64, n)
-		for i := range vals {
-			vals[i] = uint64(rng.Int63n(1000))
-		}
-		m.WriteUint64s(0x100000, vals)
-		return m
+	rng := rand.New(rand.NewSource(77))
+	img := mem.New()
+	vals := make([]uint64, n)
+	for i := range vals {
+		vals[i] = uint64(rng.Int63n(1000))
 	}
+	img.WriteUint64s(0x100000, vals)
 
 	t := stats.NewTable("Automatic transformation on the cycle-level core",
 		"scheme", "cycles", "IPC", "MPKI", "speedup")
@@ -92,33 +90,25 @@ func runXformAblation(r *Runner, w io.Writer) error {
 		{"auto-cfd+", func() (*prog.Program, error) { return k.CFD(params, true) }},
 		{"auto-dfd", func() (*prog.Program, error) { return k.DFD(params) }},
 	}
-	// All four schemes simulate concurrently; rows are assembled in the
-	// fixed step order with the base row's cycles as the speedup anchor.
-	cores, err := mapConcurrently(r.jobs(), steps, func(s struct {
-		name  string
-		build func() (*prog.Program, error)
-	}) (*pipeline.Core, error) {
+	runs := make([]ownRun, len(steps))
+	for i, s := range steps {
 		p, err := s.build()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		core, err := pipeline.New(config.SandyBridge(), p, data())
-		if err != nil {
-			return nil, err
-		}
-		if err := core.Run(0); err != nil {
-			return nil, err
-		}
-		return core, nil
-	})
+		runs[i] = ownRun{RunSpec{Workload: k.Name, Variant: workload.Variant(s.name), Config: cfg}, newBuild(p, img)}
+	}
+	// All four schemes simulate concurrently; rows are assembled in the
+	// fixed step order with the base row's cycles as the speedup anchor.
+	results, err := r.runOwn(runs)
 	if err != nil {
 		return err
 	}
-	baseCycles := cores[0].Stats.Cycles
+	baseCycles := results[0].Stats.Cycles
 	for i, s := range steps {
-		core := cores[i]
-		t.Addf(s.name, core.Stats.Cycles, core.Stats.IPC(), core.Stats.MPKI(),
-			stats.Ratio(float64(baseCycles)/float64(core.Stats.Cycles)))
+		st := results[i].Stats
+		t.Addf(s.name, st.Cycles, st.IPC(), st.MPKI(),
+			stats.Ratio(float64(baseCycles)/float64(st.Cycles)))
 	}
 	fmt.Fprintln(w, t)
 	_, err = fmt.Fprintln(w, "expected shape: automatic CFD matches manual CFD's behavior on totally separable branches (paper §III-B)")

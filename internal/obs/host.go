@@ -1,13 +1,11 @@
 package obs
 
 import (
-	"math"
 	"os"
 	"runtime"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -68,11 +66,11 @@ func readRSS() uint64 {
 	return pages * uint64(os.Getpagesize())
 }
 
-// HostSampler periodically snapshots host-resource state into a
-// Registry (as probes reading atomics, so concurrent /metrics scrapes
-// are race-free) and hands each sample to an optional notify callback —
-// the hook the CLIs use to journal-tag samples so a slow campaign can be
-// correlated with host pressure. Off unless started; stop with Stop.
+// HostSampler periodically snapshots host-resource state, keeps the last
+// snapshot for /metrics (Last is safe to call while the sampler runs), and
+// hands each sample to an optional notify callback — the hook the CLIs use
+// to journal-tag samples so a slow campaign can be correlated with host
+// pressure. Off unless started; stop with Stop.
 type HostSampler struct {
 	every    time.Duration
 	notify   func(HostStats)
@@ -80,18 +78,15 @@ type HostSampler struct {
 	stopOnce sync.Once
 	done     chan struct{}
 
-	rss, heap, total, pause atomic.Uint64
-	numGC                   atomic.Uint64
-	goroutines              atomic.Uint64
-	rate                    atomic.Uint64 // math.Float64bits
-	samples                 atomic.Uint64
+	mu      sync.Mutex
+	last    HostStats
+	samples uint64
 }
 
-// StartHostSampler registers the host.* probe series on reg, takes an
-// immediate first sample, and starts sampling every `every` (floored at
-// 10ms) until Stop. notify, when non-nil, receives every sample off the
-// sampler's own goroutine.
-func StartHostSampler(reg *Registry, every time.Duration, notify func(HostStats)) *HostSampler {
+// StartHostSampler takes an immediate first sample and starts sampling
+// every `every` (floored at 10ms) until Stop. notify, when non-nil,
+// receives every sample off the sampler's own goroutine.
+func StartHostSampler(every time.Duration, notify func(HostStats)) *HostSampler {
 	if every < 10*time.Millisecond {
 		every = 10 * time.Millisecond
 	}
@@ -101,24 +96,20 @@ func StartHostSampler(reg *Registry, every time.Duration, notify func(HostStats)
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	reg.RegisterProbe("host.rss_bytes", ProbeFunc(func() float64 { return float64(h.rss.Load()) }))
-	reg.RegisterProbe("host.heap_alloc_bytes", ProbeFunc(func() float64 { return float64(h.heap.Load()) }))
-	reg.RegisterProbe("host.gc_pause_total_ns", ProbeFunc(func() float64 { return float64(h.pause.Load()) }))
-	reg.RegisterProbe("host.gc_cycles", ProbeFunc(func() float64 { return float64(h.numGC.Load()) }))
-	reg.RegisterProbe("host.goroutines", ProbeFunc(func() float64 { return float64(h.goroutines.Load()) }))
-	reg.RegisterProbe("host.alloc_bytes_per_sec", ProbeFunc(func() float64 { return math.Float64frombits(h.rate.Load()) }))
-	reg.RegisterProbe("host.samples", ProbeFunc(func() float64 { return float64(h.samples.Load()) }))
-	h.sample(HostStats{}, time.Time{})
-	go h.run()
+	first := h.sample(HostStats{}, time.Time{})
+	go h.run(first)
 	return h
 }
 
-// Samples returns how many snapshots the sampler has taken.
-func (h *HostSampler) Samples() uint64 {
+// Last returns the most recent snapshot and how many snapshots the sampler
+// has taken (zero values for a nil sampler).
+func (h *HostSampler) Last() (HostStats, uint64) {
 	if h == nil {
-		return 0
+		return HostStats{}, 0
 	}
-	return h.samples.Load()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.last, h.samples
 }
 
 // Stop halts the sampler and waits for its goroutine to exit.
@@ -131,11 +122,10 @@ func (h *HostSampler) Stop() {
 	<-h.done
 }
 
-func (h *HostSampler) run() {
+func (h *HostSampler) run(prev HostStats) {
 	defer close(h.done)
 	tick := time.NewTicker(h.every)
 	defer tick.Stop()
-	prev := HostStats{TotalAllocBytes: h.total.Load()}
 	prevT := time.Now()
 	for {
 		select {
@@ -148,7 +138,7 @@ func (h *HostSampler) run() {
 	}
 }
 
-// sample takes one snapshot, publishes it to the probes, and notifies.
+// sample takes one snapshot, keeps it as the last, and notifies.
 func (h *HostSampler) sample(prev HostStats, prevT time.Time) HostStats {
 	s := ReadHostStats()
 	if !prevT.IsZero() {
@@ -156,14 +146,10 @@ func (h *HostSampler) sample(prev HostStats, prevT time.Time) HostStats {
 			s.AllocRate = float64(s.TotalAllocBytes-prev.TotalAllocBytes) / dt
 		}
 	}
-	h.rss.Store(s.RSSBytes)
-	h.heap.Store(s.HeapAllocBytes)
-	h.total.Store(s.TotalAllocBytes)
-	h.pause.Store(s.GCPauseTotalNS)
-	h.numGC.Store(uint64(s.NumGC))
-	h.goroutines.Store(uint64(s.Goroutines))
-	h.rate.Store(math.Float64bits(s.AllocRate))
-	h.samples.Add(1)
+	h.mu.Lock()
+	h.last = s
+	h.samples++
+	h.mu.Unlock()
 	if h.notify != nil {
 		h.notify(s)
 	}

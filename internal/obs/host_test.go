@@ -6,22 +6,24 @@ import (
 )
 
 // TestHostSampler pins the sampler contract: an immediate first sample,
-// the host.* probe series registered and readable, notify called off the
-// sampler goroutine, and an idempotent Stop.
+// a live last sample with its count, notify called off the sampler
+// goroutine, and an idempotent Stop.
 func TestHostSampler(t *testing.T) {
-	reg := NewRegistry()
 	notified := make(chan HostStats, 64)
-	h := StartHostSampler(reg, 10*time.Millisecond, func(s HostStats) {
+	h := StartHostSampler(10*time.Millisecond, func(s HostStats) {
 		select {
 		case notified <- s:
 		default:
 		}
 	})
-	if h.Samples() == 0 {
+	if _, n := h.Last(); n == 0 {
 		t.Fatal("no immediate first sample")
 	}
 	deadline := time.After(2 * time.Second)
-	for h.Samples() < 3 {
+	for {
+		if _, n := h.Last(); n >= 3 {
+			break
+		}
 		select {
 		case <-deadline:
 			t.Fatal("sampler never ticked")
@@ -31,23 +33,15 @@ func TestHostSampler(t *testing.T) {
 	h.Stop()
 	h.Stop() // idempotent
 
-	snap := reg.Snapshot()
-	for _, name := range []string{
-		"host.rss_bytes", "host.heap_alloc_bytes", "host.gc_pause_total_ns",
-		"host.gc_cycles", "host.goroutines", "host.alloc_bytes_per_sec", "host.samples",
-	} {
-		if _, ok := snap[name]; !ok {
-			t.Errorf("probe %s not registered", name)
-		}
+	last, n := h.Last()
+	if n < 3 {
+		t.Errorf("sample count %d after three ticks", n)
 	}
-	if snap["host.heap_alloc_bytes"] <= 0 {
-		t.Error("heap_alloc_bytes probe reads 0")
+	if last.HeapAllocBytes == 0 || last.TotalAllocBytes == 0 || last.Goroutines == 0 {
+		t.Errorf("last sample is empty: %+v", last)
 	}
-	if snap["host.goroutines"] <= 0 {
-		t.Error("goroutines probe reads 0")
-	}
-	if snap["host.samples"] < 3 {
-		t.Errorf("samples probe reads %v", snap["host.samples"])
+	if last.AllocRate < 0 {
+		t.Errorf("last sample's allocation rate %v is negative", last.AllocRate)
 	}
 	select {
 	case s := <-notified:
@@ -57,11 +51,16 @@ func TestHostSampler(t *testing.T) {
 	default:
 		t.Error("notify never called")
 	}
+	// Stopped means stopped: the last sample no longer moves.
+	time.Sleep(30 * time.Millisecond)
+	if _, again := h.Last(); again != n {
+		t.Errorf("sampler took %d samples after Stop", again-n)
+	}
 
 	// Nil sampler: every method is a safe no-op.
 	var nilH *HostSampler
 	nilH.Stop()
-	if nilH.Samples() != 0 {
+	if _, n := nilH.Last(); n != 0 {
 		t.Error("nil sampler has samples")
 	}
 }

@@ -6,20 +6,6 @@ import (
 	"testing"
 )
 
-func TestCounterGauge(t *testing.T) {
-	var c Counter
-	c.Add(2)
-	c.Add(3)
-	if c.Value() != 5 {
-		t.Errorf("counter = %d, want 5", c.Value())
-	}
-	var g Gauge
-	g.Set(1.5)
-	if g.Value() != 1.5 {
-		t.Errorf("gauge = %v, want 1.5", g.Value())
-	}
-}
-
 func TestHistClampAndStats(t *testing.T) {
 	h := NewHist(4)
 	for _, v := range []int{0, 1, 1, 4, 9, -3} {
@@ -40,43 +26,12 @@ func TestHistClampAndStats(t *testing.T) {
 	}
 }
 
-func TestRegistry(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("sim.retired").Add(10)
-	if r.Counter("sim.retired").Value() != 10 {
-		t.Error("counter not shared across lookups")
-	}
-	r.Gauge("sim.ipc").Set(2.5)
-	r.Hist("sim.occ", 8).Observe(3)
-	r.RegisterProbe("sim.live", ProbeFunc(func() float64 { return 7 }))
-	snap := r.Snapshot()
-	for name, want := range map[string]float64{
-		"sim.retired": 10, "sim.ipc": 2.5, "sim.live": 7,
-		"sim.occ.mean": 3, "sim.occ.max": 3,
-	} {
-		if snap[name] != want {
-			t.Errorf("snapshot[%q] = %v, want %v", name, snap[name], want)
-		}
-	}
-	names := r.Names()
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Errorf("names not sorted: %v", names)
-		}
-	}
-}
-
 // TestDisabledProbesAllocFree pins the overhead contract: with
-// observability off (nil registry, nil instruments, nil observer), every
-// probe call is a no-op that allocates nothing.
+// observability off (a nil observer), every per-cycle hook the engines
+// call is a no-op that allocates nothing.
 func TestDisabledProbesAllocFree(t *testing.T) {
-	var reg *Registry
 	var o *Observer
 	allocs := testing.AllocsPerRun(1000, func() {
-		reg.Counter("x").Add(1)
-		reg.Gauge("y").Set(2)
-		reg.Hist("z", 16).Observe(3)
-		reg.RegisterProbe("p", nil)
 		o.TickQueues(1, 2, 3, 1)
 		if o.Due(64) {
 			t.Fatal("nil observer is never due")

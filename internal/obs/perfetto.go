@@ -107,11 +107,8 @@ func (t *Trace) Encode(w io.Writer) error {
 	return err
 }
 
-// WriteFile writes the trace to path ("-" = stdout).
+// WriteFile writes the trace to the file at path.
 func (t *Trace) WriteFile(path string) error {
-	if path == "-" {
-		return t.Encode(os.Stdout)
-	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err

@@ -36,62 +36,21 @@ func promValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// WritePrometheus renders the registry in the Prometheus text exposition
-// format (version 0.0.4): every counter as a counter, every gauge and
-// probe as a gauge, and every histogram as a native cumulative-bucket
-// histogram with _sum and _count. Families are emitted in sorted name
-// order (via the same deterministic iteration Snapshot consumers use),
-// so two scrapes of identical state are byte-identical.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	if r == nil {
-		return nil
+// WritePrometheus renders gauges, keyed by instrument name, in the
+// Prometheus text exposition format (version 0.0.4): one gauge family per
+// name, emitted in sorted order, so two scrapes of identical state are
+// byte-identical.
+func WritePrometheus(w io.Writer, gauges map[string]float64) error {
+	names := make([]string, 0, len(gauges))
+	values := make(map[string]float64, len(gauges))
+	for name, v := range gauges {
+		p := promName(name)
+		names = append(names, p)
+		values[p] = v
 	}
-	r.mu.Lock()
-	type family struct {
-		name  string // prometheus name
-		kind  string // "counter", "gauge", "histogram"
-		value float64
-		hist  *Hist
-	}
-	fams := make([]family, 0, len(r.counters)+len(r.gauges)+len(r.probes)+len(r.hists))
-	for name, c := range r.counters {
-		fams = append(fams, family{name: promName(name), kind: "counter", value: float64(c.Value())})
-	}
-	for name, g := range r.gauges {
-		fams = append(fams, family{name: promName(name), kind: "gauge", value: g.Value()})
-	}
-	for name, p := range r.probes {
-		fams = append(fams, family{name: promName(name), kind: "gauge", value: p.Value()})
-	}
-	for name, h := range r.hists {
-		fams = append(fams, family{name: promName(name), kind: "histogram", hist: h})
-	}
-	r.mu.Unlock()
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-
-	for _, f := range fams {
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind); err != nil {
-			return err
-		}
-		if f.kind != "histogram" {
-			if _, err := fmt.Fprintf(w, "%s %s\n", f.name, promValue(f.value)); err != nil {
-				return err
-			}
-			continue
-		}
-		counts := f.hist.Counts()
-		var cum, sum uint64
-		for i, c := range counts {
-			cum += c
-			sum += uint64(i) * c
-			if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%d\"} %d\n", f.name, i, cum); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", f.name, cum); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum %d\n%s_count %d\n", f.name, sum, f.name, cum); err != nil {
+	sort.Strings(names)
+	for _, p := range names {
+		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %s\n", p, p, promValue(values[p])); err != nil {
 			return err
 		}
 	}

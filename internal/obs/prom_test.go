@@ -6,21 +6,15 @@ import (
 )
 
 // TestWritePrometheus pins the exposition format: sorted families, the
-// cfd_ namespace with sanitized names, type annotations, and cumulative
-// histogram buckets with _sum/_count.
+// cfd_ namespace with sanitized names, a gauge type annotation per
+// family, and promValue's integral and fractional forms.
 func TestWritePrometheus(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("zeta.count").Add(3)
-	r.Gauge("alpha.gauge").Set(1.5)
-	r.RegisterProbe("mid.probe", ProbeFunc(func() float64 { return 7 }))
-	h := r.Hist("occ", 2)
-	h.Observe(0)
-	h.Observe(1)
-	h.Observe(1)
-	h.Observe(2)
-
 	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
+	if err := WritePrometheus(&b, map[string]float64{
+		"zeta.count":  3,
+		"alpha.gauge": 1.5,
+		"mid.probe":   7,
+	}); err != nil {
 		t.Fatal(err)
 	}
 	got := b.String()
@@ -29,14 +23,7 @@ func TestWritePrometheus(t *testing.T) {
 		"cfd_alpha_gauge 1.5",
 		"# TYPE cfd_mid_probe gauge",
 		"cfd_mid_probe 7",
-		"# TYPE cfd_occ histogram",
-		`cfd_occ_bucket{le="0"} 1`,
-		`cfd_occ_bucket{le="1"} 3`,
-		`cfd_occ_bucket{le="2"} 4`,
-		`cfd_occ_bucket{le="+Inf"} 4`,
-		"cfd_occ_sum 4",
-		"cfd_occ_count 4",
-		"# TYPE cfd_zeta_count counter",
+		"# TYPE cfd_zeta_count gauge",
 		"cfd_zeta_count 3",
 		"",
 	}, "\n")
@@ -47,27 +34,26 @@ func TestWritePrometheus(t *testing.T) {
 
 // TestWritePrometheusDeterministic pins scrape-to-scrape byte identity.
 func TestWritePrometheusDeterministic(t *testing.T) {
-	r := NewRegistry()
+	g := map[string]float64{}
 	for _, n := range []string{"c.b", "a.z", "m.q", "z.a", "b.b"} {
-		r.Counter(n).Add(1)
+		g[n] = 1
 	}
 	var a, b strings.Builder
-	r.WritePrometheus(&a)
-	r.WritePrometheus(&b)
+	WritePrometheus(&a, g)
+	WritePrometheus(&b, g)
 	if a.String() != b.String() {
 		t.Fatal("two scrapes of identical state differ")
 	}
 }
 
-// TestWritePrometheusNil pins that a nil registry serves an empty body.
+// TestWritePrometheusNil pins that no gauges serve an empty body.
 func TestWritePrometheusNil(t *testing.T) {
-	var r *Registry
 	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
+	if err := WritePrometheus(&b, nil); err != nil {
 		t.Fatal(err)
 	}
 	if b.Len() != 0 {
-		t.Fatalf("nil registry wrote %q", b.String())
+		t.Fatalf("no gauges wrote %q", b.String())
 	}
 }
 
@@ -85,29 +71,26 @@ func TestPromName(t *testing.T) {
 	}
 }
 
-// TestRegistryEachSorted pins the deterministic-iteration satellite:
-// Each and Names visit snapshot entries in sorted order, histograms
-// summarized as .mean/.max.
+// TestRegistryEachSorted pins deterministic iteration: the exposition
+// lists its families in sorted order of their Prometheus names, whatever
+// the map order, and sorts after sanitizing ("a.b" serves as "cfd_a_b",
+// which sorts after "cfd_a_a" and before "cfd_a_c").
 func TestRegistryEachSorted(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("b").Add(2)
-	r.Gauge("a").Set(1)
-	r.Hist("c", 4).Observe(2)
-	var names []string
-	r.Each(func(name string, _ float64) { names = append(names, name) })
-	want := []string{"a", "b", "c.max", "c.mean"}
-	if len(names) != len(want) {
-		t.Fatalf("Each visited %v, want %v", names, want)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("Each visited %v, want %v", names, want)
+	g := map[string]float64{"b": 2, "a": 1, "a_c": 4, "a.b": 3, "a_a": 5}
+	for i := 0; i < 10; i++ {
+		var b strings.Builder
+		if err := WritePrometheus(&b, g); err != nil {
+			t.Fatal(err)
 		}
-	}
-	got := r.Names()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Names() = %v, want %v", got, want)
+		var names []string
+		for _, line := range strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n") {
+			if !strings.HasPrefix(line, "# TYPE ") {
+				names = append(names, strings.Fields(line)[0])
+			}
+		}
+		want := []string{"cfd_a", "cfd_a_a", "cfd_a_b", "cfd_a_c", "cfd_b"}
+		if strings.Join(names, " ") != strings.Join(want, " ") {
+			t.Fatalf("exposition lists %v, want %v", names, want)
 		}
 	}
 }

@@ -5,49 +5,7 @@ import (
 
 	"cfd/internal/core"
 	"cfd/internal/fault"
-	"cfd/internal/isa"
 )
-
-// retRing keeps the last few retired instructions for fault snapshots. It
-// stores raw (pc, inst) pairs so the hot retire path never allocates;
-// rendering happens only when a snapshot is taken.
-type retRing struct {
-	buf [fault.RingDepth]struct {
-		pc uint64
-		in isa.Inst
-	}
-	next int
-	full bool
-}
-
-func (r *retRing) record(pc uint64, in isa.Inst) {
-	r.buf[r.next] = struct {
-		pc uint64
-		in isa.Inst
-	}{pc, in}
-	r.next++
-	if r.next == len(r.buf) {
-		r.next, r.full = 0, true
-	}
-}
-
-func (r *retRing) snapshot() []fault.RetiredInst {
-	n := r.next
-	if r.full {
-		n = len(r.buf)
-	}
-	out := make([]fault.RetiredInst, 0, n)
-	emit := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out = append(out, fault.RetiredInst{PC: r.buf[i].pc, Text: r.buf[i].in.String()})
-		}
-	}
-	if r.full {
-		emit(r.next, len(r.buf))
-	}
-	emit(0, r.next)
-	return out
-}
 
 // snapshot captures the core's architectural vantage for fault diagnostics:
 // current cycle and fetch PC, the architectural queue lengths of the fetch
@@ -62,7 +20,7 @@ func (c *Core) snapshot() fault.Snapshot {
 		VQLen:       c.vq.length(),
 		TQLen:       c.tq.length(),
 		TCR:         c.specTCR,
-		LastRetired: c.diag.snapshot(),
+		LastRetired: c.diag.Last(),
 	}
 }
 

@@ -180,21 +180,6 @@ func TestPerfettoTraceFromPipeline(t *testing.T) {
 	}
 }
 
-func TestRegisterProbes(t *testing.T) {
-	reg := obs.NewRegistry()
-	core := obsRun(t, 0, 100)
-	core.RegisterProbes(reg)
-	snap := reg.Snapshot()
-	if snap["pipeline.cycles"] != float64(core.Stats.Cycles) {
-		t.Errorf("cycles probe = %v, want %d", snap["pipeline.cycles"], core.Stats.Cycles)
-	}
-	if snap["pipeline.retired"] != float64(core.Stats.Retired) {
-		t.Errorf("retired probe = %v, want %d", snap["pipeline.retired"], core.Stats.Retired)
-	}
-	// Registering into a nil registry is a no-op, not a panic.
-	core.RegisterProbes(nil)
-}
-
 // BenchmarkPipelineObserved measures the enabled-observability path;
 // compare against BenchmarkPipelineDisabledObs (the instrumented-but-
 // disabled path, equivalent to the pre-observability simulator) to bound

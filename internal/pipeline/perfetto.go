@@ -72,16 +72,3 @@ func (c *Core) PerfettoTrace() *obs.Trace {
 	}
 	return tr
 }
-
-// RegisterProbes registers the core's live state as named probes: retired
-// and cycle counts, misprediction totals, and the current architectural
-// queue occupancies. The registry samples them on demand, so registration
-// adds no per-cycle cost. No-op on a nil registry.
-func (c *Core) RegisterProbes(reg *obs.Registry) {
-	reg.RegisterProbe("pipeline.cycles", obs.ProbeFunc(func() float64 { return float64(c.Stats.Cycles) }))
-	reg.RegisterProbe("pipeline.retired", obs.ProbeFunc(func() float64 { return float64(c.Stats.Retired) }))
-	reg.RegisterProbe("pipeline.mispredicts", obs.ProbeFunc(func() float64 { return float64(c.Stats.Mispredicts) }))
-	reg.RegisterProbe("pipeline.bq_occ", obs.ProbeFunc(func() float64 { return float64(c.bq.length()) }))
-	reg.RegisterProbe("pipeline.vq_occ", obs.ProbeFunc(func() float64 { return float64(c.vq.length()) }))
-	reg.RegisterProbe("pipeline.tq_occ", obs.ProbeFunc(func() float64 { return float64(c.tq.length()) }))
-}

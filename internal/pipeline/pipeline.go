@@ -361,7 +361,7 @@ type Core struct {
 	// captured into fault snapshots.
 	wd         *fault.Watchdog
 	stallLimit uint64
-	diag       retRing
+	diag       fault.Ring
 
 	// Cycle-attribution state (see cpi.go).
 	cycRetired  int        // instructions retired this cycle
@@ -698,16 +698,7 @@ func (c *Core) RunCtx(ctx context.Context, maxRetired uint64) error {
 }
 
 func (c *Core) runCtx(ctx context.Context, maxRetired uint64) error {
-	wd := c.wd
-	if ctx != nil && ctx.Done() != nil {
-		// Fold the caller's context into a run-local watchdog copy.
-		w := fault.Watchdog{}
-		if wd != nil {
-			w = *wd
-		}
-		w.Ctx = ctx
-		wd = &w
-	}
+	wd := c.wd.WithContext(ctx)
 	limit := c.stallLimit
 	if limit == 0 {
 		limit = defaultStallLimit

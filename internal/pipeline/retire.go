@@ -132,7 +132,7 @@ func (c *Core) retire() error {
 		}
 
 		c.traceRecord(u)
-		c.diag.record(u.pc, u.inst)
+		c.diag.Record(u.pc, u.inst)
 		c.Meter.Add(energy.Retire, 1)
 		c.Stats.Retired++
 		c.cycRetired++

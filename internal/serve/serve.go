@@ -2,9 +2,9 @@
 // 3): a loopback HTTP server that makes a running sweep inspectable
 // without touching its deterministic artifacts.
 //
-//   - GET /metrics — the obs.Registry in Prometheus text exposition
-//     format: runner-cache counters, persistent-store counters, and the
-//     host-sampler series.
+//   - GET /metrics — Prometheus text exposition of the counters /status
+//     reports: runner-cache counters, persistent-store counters, and the
+//     host sampler's last sample.
 //   - GET /status — a JSON snapshot of campaign state: per-sweep
 //     progress with a simulated-only ETA, in-flight specs, runner and
 //     store metrics, and the last N journal events.
@@ -195,21 +195,57 @@ func ETA(s SweepStatus) float64 {
 type Server struct {
 	// Tool names the producing binary in /status.
 	Tool string
-	// Registry backs /metrics; nil serves an empty exposition.
-	Registry *obs.Registry
 	// Tracker backs the sweep half of /status; subscribe it to the
 	// journal before starting the server.
 	Tracker *Tracker
-	// Runner and Journal, when set, add their live counters to /status.
+	// Runner (with its Store) and Journal, when set, add their live
+	// counters to /status; the Runner's and the Store's also go to
+	// /metrics.
 	Runner  *harness.Runner
 	Journal *journal.Journal
+	// Host, when set, adds the sampler's last sample to /metrics.
+	Host *obs.HostSampler
 
 	srv *http.Server
 }
 
 // New assembles a Server; wire the pieces, then Start it.
-func New(tool string, reg *obs.Registry, tr *Tracker) *Server {
-	return &Server{Tool: tool, Registry: reg, Tracker: tr}
+func New(tool string, tr *Tracker) *Server {
+	return &Server{Tool: tool, Tracker: tr}
+}
+
+// gauges reads the /metrics families, keyed by instrument name: the
+// Runner's cache counters, its Store's counters, and the host sampler's
+// last sample, each present only when its source is wired.
+func (s *Server) gauges() map[string]float64 {
+	g := make(map[string]float64)
+	if r := s.Runner; r != nil {
+		m := r.Metrics()
+		g["harness.lookups"] = float64(m.Lookups)
+		g["harness.simulations"] = float64(m.Simulations)
+		g["harness.cache_hits"] = float64(m.CacheHits)
+		if r.Store != nil {
+			sm := r.Store.Metrics()
+			g["store.hits"] = float64(sm.Hits)
+			g["store.misses"] = float64(sm.Misses)
+			g["store.puts"] = float64(sm.Puts)
+			g["store.quarantines"] = float64(sm.Quarantines)
+			g["store.retries"] = float64(sm.Retries)
+			g["store.put_failures"] = float64(sm.PutFailures)
+			g["store.get_failures"] = float64(sm.GetFailures)
+		}
+	}
+	if s.Host != nil {
+		hs, n := s.Host.Last()
+		g["host.rss_bytes"] = float64(hs.RSSBytes)
+		g["host.heap_alloc_bytes"] = float64(hs.HeapAllocBytes)
+		g["host.gc_pause_total_ns"] = float64(hs.GCPauseTotalNS)
+		g["host.gc_cycles"] = float64(hs.NumGC)
+		g["host.goroutines"] = float64(hs.Goroutines)
+		g["host.alloc_bytes_per_sec"] = hs.AllocRate
+		g["host.samples"] = float64(n)
+	}
+	return g
 }
 
 // Handler returns the server's mux (exported for tests and embedding).
@@ -217,7 +253,7 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		s.Registry.WritePrometheus(w) //nolint:errcheck // best-effort scrape
+		obs.WritePrometheus(w, s.gauges()) //nolint:errcheck // best-effort scrape
 	})
 	mux.HandleFunc("/status", func(w http.ResponseWriter, _ *http.Request) {
 		st := Status{Tool: s.Tool, StartedAt: time.Now()}

@@ -5,12 +5,17 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"cfd/internal/config"
+	"cfd/internal/harness"
 	"cfd/internal/obs"
 	"cfd/internal/obs/journal"
+	"cfd/internal/workload"
 )
 
 // TestTrackerFolds pins the Tracker's event folding: sweep lifecycle,
@@ -101,19 +106,53 @@ func TestEta(t *testing.T) {
 	}
 }
 
+// metricFamilies are the /metrics families of a Runner with a Store and a
+// started host sampler, in exposition order.
+var metricFamilies = []string{
+	"cfd_harness_cache_hits",
+	"cfd_harness_lookups",
+	"cfd_harness_simulations",
+	"cfd_host_alloc_bytes_per_sec",
+	"cfd_host_gc_cycles",
+	"cfd_host_gc_pause_total_ns",
+	"cfd_host_goroutines",
+	"cfd_host_heap_alloc_bytes",
+	"cfd_host_rss_bytes",
+	"cfd_host_samples",
+	"cfd_store_get_failures",
+	"cfd_store_hits",
+	"cfd_store_misses",
+	"cfd_store_put_failures",
+	"cfd_store_puts",
+	"cfd_store_quarantines",
+	"cfd_store_retries",
+}
+
 // TestServerEndpoints drives the HTTP surface end to end on a loopback
-// listener: /metrics serves the Prometheus exposition, /status decodes
-// as JSON with the tracker's state folded in, /debug/pprof answers, and
-// the index routes.
+// listener: /metrics serves the Prometheus exposition of a real Runner,
+// its Store and a started host sampler, /status decodes as JSON with the
+// tracker's state folded in, /debug/pprof answers, and the index routes.
 func TestServerEndpoints(t *testing.T) {
-	reg := obs.NewRegistry()
-	reg.Counter("harness.lookups").Add(42)
+	r := harness.NewRunner(0.02)
+	st, err := harness.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Store = st
+	spec := harness.RunSpec{Workload: "bzip2like", Variant: workload.Base, Config: config.SandyBridge()}
+	if _, err := r.Run(spec); err != nil {
+		t.Fatal(err)
+	}
+	host := obs.StartHostSampler(time.Hour, nil) // one immediate sample
+	defer host.Stop()
 	jr := journal.New("test")
 	tr := NewTracker()
 	jr.Subscribe(tr.Observe)
 
-	srv := New("test", reg, tr)
+	srv := New("test", tr)
+	srv.Runner = r
 	srv.Journal = jr
+	srv.Host = host
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -141,22 +180,47 @@ func TestServerEndpoints(t *testing.T) {
 	}
 
 	body := get(t, base+"/metrics")
-	if !strings.Contains(body, "# TYPE cfd_harness_lookups counter") || !strings.Contains(body, "cfd_harness_lookups 42") {
-		t.Fatalf("/metrics missing series:\n%s", body)
+	if names := familyNames(t, body); !reflect.DeepEqual(names, metricFamilies) {
+		t.Fatalf("/metrics families:\n%v\nwant:\n%v", names, metricFamilies)
+	}
+	// The runner's, the store's and the sampler's counters reach the
+	// scrape: one lookup that simulated and was persisted, one sample.
+	for name, want := range map[string]string{
+		"cfd_harness_lookups": "1", "cfd_harness_simulations": "1", "cfd_harness_cache_hits": "0",
+		"cfd_store_misses": "1", "cfd_store_puts": "1", "cfd_store_hits": "0",
+		"cfd_host_samples": "1",
+	} {
+		if !strings.Contains(body, "\n"+name+" "+want+"\n") {
+			t.Errorf("/metrics lacks %s %s:\n%s", name, want, body)
+		}
 	}
 
-	var st Status
-	if err := json.Unmarshal([]byte(get(t, base+"/status")), &st); err != nil {
+	// Each family appears only when its source is wired: no Store, no
+	// store families; no sampler, no host families.
+	noStore := &Server{Runner: harness.NewRunner(0.02), Host: host}
+	if got := familyNames(t, scrape(noStore)); !reflect.DeepEqual(got, without(metricFamilies, "cfd_store_")) {
+		t.Errorf("without a Store, /metrics lists %v", got)
+	}
+	noHost := &Server{Runner: r}
+	if got := familyNames(t, scrape(noHost)); !reflect.DeepEqual(got, without(metricFamilies, "cfd_host_")) {
+		t.Errorf("without a sampler, /metrics lists %v", got)
+	}
+
+	var status Status
+	if err := json.Unmarshal([]byte(get(t, base+"/status")), &status); err != nil {
 		t.Fatal(err)
 	}
-	if st.Tool != "test" || st.SpecsDone != 1 || st.Sweep == nil || st.Sweep.Total != 2 {
-		t.Fatalf("/status = %+v", st)
+	if status.Tool != "test" || status.SpecsDone != 1 || status.Sweep == nil || status.Sweep.Total != 2 {
+		t.Fatalf("/status = %+v", status)
 	}
-	if st.Journal == nil || st.Journal.Events == 0 {
-		t.Fatalf("/status journal section = %+v", st.Journal)
+	if status.Journal == nil || status.Journal.Events == 0 {
+		t.Fatalf("/status journal section = %+v", status.Journal)
 	}
-	if len(st.LastEvents) == 0 {
+	if len(status.LastEvents) == 0 {
 		t.Fatal("/status has no lastEvents")
+	}
+	if status.Runner == nil || status.Runner.Lookups != 1 || status.Store == nil || status.Store.Puts != 1 {
+		t.Fatalf("/status runner %+v, store %+v", status.Runner, status.Store)
 	}
 
 	if body := get(t, base+"/debug/pprof/cmdline"); body == "" {
@@ -177,6 +241,46 @@ func TestServerEndpoints(t *testing.T) {
 	if err := jr.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// familyNames parses a /metrics body into its family names, failing
+// unless every family is one "# TYPE <name> gauge" line followed by one
+// "<name> <value>" sample.
+func familyNames(t *testing.T, body string) []string {
+	t.Helper()
+	lines := strings.Split(strings.TrimSuffix(body, "\n"), "\n")
+	if len(lines)%2 != 0 {
+		t.Fatalf("odd line count in exposition:\n%s", body)
+	}
+	var names []string
+	for i := 0; i < len(lines); i += 2 {
+		name, ok := strings.CutPrefix(lines[i], "# TYPE ")
+		name, ok2 := strings.CutSuffix(name, " gauge")
+		sample := strings.Fields(lines[i+1])
+		if !ok || !ok2 || len(sample) != 2 || sample[0] != name {
+			t.Fatalf("family at line %d is not a gauge with one sample:\n%s\n%s", i+1, lines[i], lines[i+1])
+		}
+		names = append(names, name)
+	}
+	return names
+}
+
+// without returns names minus those with the given prefix.
+func without(names []string, prefix string) []string {
+	var out []string
+	for _, n := range names {
+		if !strings.HasPrefix(n, prefix) {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// scrape serves one /metrics request from s's handler.
+func scrape(s *Server) string {
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	return rec.Body.String()
 }
 
 func get(t *testing.T, url string) string {

@@ -36,8 +36,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"cfd/internal/obs"
 )
 
 // Envelope schema identification. Version bumps on any incompatible change
@@ -274,50 +272,45 @@ func (s *Store) Get(key string) (payload []byte, ok bool, err error) {
 		s.misses.Add(1)
 		return nil, false, nil
 	}
-	if reason := s.verify(key, data); reason != "" {
+	payload, reason := s.verify(key, data)
+	if reason != "" {
 		s.quarantine(path, reason)
 		s.misses.Add(1)
 		return nil, false, nil
 	}
-	var env envelope
-	if uerr := json.Unmarshal(data, &env); uerr != nil {
-		// Unreachable after verify, but never trust a torn decode.
-		s.quarantine(path, "decode: "+uerr.Error())
-		s.misses.Add(1)
-		return nil, false, nil
-	}
 	s.hits.Add(1)
-	return env.Payload, true, nil
+	return payload, true, nil
 }
 
-// verify checks one entry's envelope against key and returns a non-empty
-// rejection reason when the entry must be quarantined.
-func (s *Store) verify(key string, data []byte) string {
+// verify decodes one entry's envelope, checks it against key, and returns
+// its payload, or a non-empty rejection reason when the entry must be
+// quarantined.
+func (s *Store) verify(key string, data []byte) (payload []byte, reason string) {
 	var env envelope
 	if err := json.Unmarshal(data, &env); err != nil {
-		return "malformed JSON (torn or truncated write): " + err.Error()
+		return nil, "malformed JSON (torn or truncated write): " + err.Error()
 	}
 	switch {
 	case env.Schema != Schema:
-		return fmt.Sprintf("envelope schema %q, want %q", env.Schema, Schema)
+		return nil, fmt.Sprintf("envelope schema %q, want %q", env.Schema, Schema)
 	case env.Version != Version:
-		return fmt.Sprintf("envelope version %d, want %d", env.Version, Version)
+		return nil, fmt.Sprintf("envelope version %d, want %d", env.Version, Version)
 	case env.Key != key:
 		// Both sides: what the entry claims to hold and what the lookup
 		// wanted, so a sidecar alone diagnoses a renamed or aliased key.
-		return fmt.Sprintf("key mismatch: entry for %q, want %q", env.Key, key)
+		return nil, fmt.Sprintf("key mismatch: entry for %q, want %q", env.Key, key)
 	case env.PayloadSchema != s.payloadSchema:
-		return fmt.Sprintf("payload schema %q, want %q", env.PayloadSchema, s.payloadSchema)
+		return nil, fmt.Sprintf("payload schema %q, want %q", env.PayloadSchema, s.payloadSchema)
 	case env.PayloadVersion != s.payloadVersion:
-		return fmt.Sprintf("stale payload version %d, want %d", env.PayloadVersion, s.payloadVersion)
+		return nil, fmt.Sprintf("stale payload version %d, want %d", env.PayloadVersion, s.payloadVersion)
 	case env.SHA256 == "":
-		return "checksum missing"
+		return nil, "checksum missing"
 	}
 	sum := sha256.Sum256(env.Payload)
 	if got := hex.EncodeToString(sum[:]); got != env.SHA256 {
-		return fmt.Sprintf("checksum mismatch: payload %s, envelope %s", got[:12], env.SHA256)
+		return nil, fmt.Sprintf("checksum mismatch: payload %s, envelope %s", got[:12], env.SHA256)
 	}
-	return ""
+	return env.Payload, ""
 }
 
 // Put stores payload under key with the crash-safe protocol: marshal the
@@ -440,17 +433,4 @@ func (s *Store) quarantine(path, reason string) {
 		}
 		return
 	}
-}
-
-// RegisterMetrics registers the store's counters as pull-based probes on
-// reg, so a live /metrics scrape sees the same numbers Metrics reports.
-// No-op on a nil registry.
-func (s *Store) RegisterMetrics(reg *obs.Registry) {
-	reg.RegisterProbe("store.hits", obs.ProbeFunc(func() float64 { return float64(s.hits.Load()) }))
-	reg.RegisterProbe("store.misses", obs.ProbeFunc(func() float64 { return float64(s.misses.Load()) }))
-	reg.RegisterProbe("store.puts", obs.ProbeFunc(func() float64 { return float64(s.puts.Load()) }))
-	reg.RegisterProbe("store.quarantines", obs.ProbeFunc(func() float64 { return float64(s.quarantines.Load()) }))
-	reg.RegisterProbe("store.retries", obs.ProbeFunc(func() float64 { return float64(s.retries.Load()) }))
-	reg.RegisterProbe("store.put_failures", obs.ProbeFunc(func() float64 { return float64(s.putFailures.Load()) }))
-	reg.RegisterProbe("store.get_failures", obs.ProbeFunc(func() float64 { return float64(s.getFailures.Load()) }))
 }

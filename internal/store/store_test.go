@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"cfd/internal/obs"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -301,7 +300,7 @@ func TestConcurrentWritersConverge(t *testing.T) {
 // TestHooksAndMetrics pins the observer surface added for the event
 // journal and /metrics: OnQuarantine fires once per quarantined entry
 // with its base name and reason, OnRetry fires once per retry attempt,
-// and RegisterMetrics exposes the counters as probes.
+// and Metrics counts every hit, miss, put, quarantine and retry.
 func TestHooksAndMetrics(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, WithBackoff([]time.Duration{time.Millisecond, time.Millisecond}))
@@ -319,8 +318,6 @@ func TestHooksAndMetrics(t *testing.T) {
 		retries++
 		mu.Unlock()
 	}
-	reg := obs.NewRegistry()
-	s.RegisterMetrics(reg)
 
 	if err := s.Put("k", []byte(`{"v":1}`)); err != nil {
 		t.Fatal(err)
@@ -367,23 +364,10 @@ func TestHooksAndMetrics(t *testing.T) {
 		t.Fatalf("OnRetry fired %d times, want 2", retries)
 	}
 
-	snap := reg.Snapshot()
-	m := s.Metrics()
-	for name, want := range map[string]uint64{
-		"store.hits":         m.Hits,
-		"store.misses":       m.Misses,
-		"store.puts":         m.Puts,
-		"store.quarantines":  m.Quarantines,
-		"store.retries":      m.Retries,
-		"store.put_failures": m.PutFailures,
-		"store.get_failures": m.GetFailures,
-	} {
-		if got := snap[name]; got != float64(want) {
-			t.Errorf("probe %s = %v, want %d", name, got, want)
-		}
-	}
-	if snap["store.quarantines"] != 2 || snap["store.retries"] != 2 {
-		t.Errorf("probe snapshot: %v", snap)
+	// One miss (the corrupt read), three puts, two quarantines (the
+	// corrupt read and the caller's report) and two retries.
+	if got, want := s.Metrics(), (Metrics{Misses: 1, Puts: 3, Quarantines: 2, Retries: 2}); got != want {
+		t.Errorf("Metrics() = %+v, want %+v", got, want)
 	}
 }
 
