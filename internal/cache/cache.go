@@ -9,7 +9,12 @@
 // supplied it.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+
+	"cfd/internal/pool"
+)
 
 // ServiceLevel identifies the furthest memory hierarchy level that serviced
 // an access (paper Fig 2a's L1/L2/L3/MEM breakdown).
@@ -86,11 +91,17 @@ func DefaultConfig() Config {
 	}
 }
 
+// line is one cache way. tag holds (lineAddr>>1)+1 for a valid line and 0
+// for an empty one, so a line is two words and a zeroed array is an empty
+// cache.
 type line struct {
-	valid bool
-	tag   uint64
-	lru   uint64
+	tag uint64
+	lru uint64
 }
+
+// lineTag is the stored tag of lineAddr: the full tag (the setMask bits are
+// redundant but harmless) plus one, which keeps 0 free to mean empty.
+func lineTag(lineAddr uint64) uint64 { return lineAddr>>1 + 1 }
 
 type level struct {
 	cfg      LevelConfig
@@ -101,17 +112,17 @@ type level struct {
 	misses   uint64
 }
 
-func newLevel(cfg LevelConfig, lineBytes int) *level {
-	numLines := cfg.SizeKB * 1024 / lineBytes
-	numSets := numLines / cfg.Ways
-	if numSets == 0 {
-		numSets = 1
-	}
-	return &level{
+// levelSets returns how many sets cfg's level has with lineBytes lines.
+func levelSets(cfg LevelConfig, lineBytes int) int {
+	return max(cfg.SizeKB*1024/lineBytes/cfg.Ways, 1)
+}
+
+func newLevel(cfg LevelConfig, lines []line) level {
+	return level{
 		cfg:     cfg,
-		lines:   make([]line, numSets*cfg.Ways),
+		lines:   lines,
 		ways:    cfg.Ways,
-		setMask: uint64(numSets - 1),
+		setMask: uint64(len(lines)/cfg.Ways - 1),
 	}
 }
 
@@ -125,9 +136,9 @@ func (l *level) set(lineAddr uint64) []line {
 func (l *level) lookup(lineAddr, clock uint64) bool {
 	l.accesses++
 	set := l.set(lineAddr)
-	tag := lineAddr >> 1 // full tag (setMask bits are redundant but harmless)
+	tag := lineTag(lineAddr)
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+		if set[i].tag == tag {
 			set[i].lru = clock
 			return true
 		}
@@ -139,14 +150,14 @@ func (l *level) lookup(lineAddr, clock uint64) bool {
 // install fills lineAddr, evicting the LRU way.
 func (l *level) install(lineAddr, clock uint64) {
 	set := l.set(lineAddr)
-	tag := lineAddr >> 1
+	tag := lineTag(lineAddr)
 	victim := 0
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+		if set[i].tag == tag {
 			set[i].lru = clock
 			return
 		}
-		if !set[i].valid {
+		if set[i].tag == 0 {
 			victim = i
 			break
 		}
@@ -154,7 +165,7 @@ func (l *level) install(lineAddr, clock uint64) {
 			victim = i
 		}
 	}
-	set[victim] = line{valid: true, tag: tag, lru: clock}
+	set[victim] = line{tag: tag, lru: clock}
 }
 
 type mshr struct {
@@ -168,7 +179,8 @@ type mshr struct {
 type Hierarchy struct {
 	cfg        Config
 	lineShift  uint
-	l1, l2, l3 *level
+	l1, l2, l3 level
+	lineBuf    *[]line // every level's lines, from linePool
 	mshrs      []mshr
 
 	// Stats.
@@ -181,22 +193,44 @@ type Hierarchy struct {
 	inPrefetch bool // reentrancy guard for the hardware prefetcher
 }
 
-// New builds a hierarchy from cfg.
+// linePool recycles the cache lines of released hierarchies (see Release).
+var linePool sync.Pool
+
+// New builds a hierarchy from cfg. Its three levels' lines are one array,
+// taken zeroed from the pool a released hierarchy returns its lines to.
 func New(cfg Config) *Hierarchy {
 	shift := uint(0)
 	for 1<<shift < cfg.LineBytes {
 		shift++
 	}
-	h := &Hierarchy{
+	n1 := levelSets(cfg.L1, cfg.LineBytes) * cfg.L1.Ways
+	n2 := levelSets(cfg.L2, cfg.LineBytes) * cfg.L2.Ways
+	n3 := levelSets(cfg.L3, cfg.LineBytes) * cfg.L3.Ways
+	buf := pool.Zeroed[line](&linePool, n1+n2+n3)
+	lines := *buf
+	return &Hierarchy{
 		cfg:       cfg,
 		lineShift: shift,
-		l1:        newLevel(cfg.L1, cfg.LineBytes),
-		l2:        newLevel(cfg.L2, cfg.LineBytes),
-		l3:        newLevel(cfg.L3, cfg.LineBytes),
+		l1:        newLevel(cfg.L1, lines[:n1]),
+		l2:        newLevel(cfg.L2, lines[n1:n1+n2]),
+		l3:        newLevel(cfg.L3, lines[n1+n2:]),
+		lineBuf:   buf,
 		mshrs:     make([]mshr, cfg.NumMSHRs),
 		Hist:      make([]uint64, cfg.NumMSHRs+1),
 	}
-	return h
+}
+
+// Release returns the hierarchy's cache lines to the pool New takes them
+// from. The hierarchy must not be used afterwards: its levels lose their
+// lines, so an access panics. Counters, the MSHRs and Hist stay, so a
+// Result may keep Hist.
+func (h *Hierarchy) Release() {
+	if h.lineBuf == nil {
+		return
+	}
+	linePool.Put(h.lineBuf)
+	h.lineBuf = nil
+	h.l1.lines, h.l2.lines, h.l3.lines = nil, nil, nil
 }
 
 // LineAddr returns the cache line number of addr.

@@ -2,7 +2,9 @@ package cache
 
 import (
 	"reflect"
+	"runtime/debug"
 	"testing"
+	"unsafe"
 )
 
 func smallConfig() Config {
@@ -222,5 +224,46 @@ func TestNextLinePrefetcherOffByDefault(t *testing.T) {
 	}
 	if _, lvl := h.Access(0x8040, 500); lvl == L1 {
 		t.Errorf("next line present without a prefetcher")
+	}
+}
+
+// TestLineSize pins a cache way at two words: the valid bit lives in the
+// tag (0 = empty), so a recycled hierarchy clears a third less memory.
+func TestLineSize(t *testing.T) {
+	if got := unsafe.Sizeof(line{}); got != 16 {
+		t.Errorf("cache line is %d B, want 16", got)
+	}
+}
+
+// TestReleasedLinesComeBackEmpty: a hierarchy built on lines a released
+// one returned starts cold, even for line address 0, whose stored tag is
+// the smallest valid one; and Release keeps Hist, which a Result holds.
+func TestReleasedLinesComeBackEmpty(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	cfg := smallConfig()
+	cfg.SampleMSHRs = true
+	h := New(cfg)
+	for _, addr := range []uint64{0, 64, 4096} {
+		if _, lvl := h.Access(addr, 0); lvl != MEM {
+			t.Fatalf("cold access %#x served from %v", addr, lvl)
+		}
+		if _, lvl := h.Access(addr, 1000); lvl != L1 {
+			t.Fatalf("warm access %#x served from %v", addr, lvl)
+		}
+	}
+	h.Tick(0, 10)
+	h.Release()
+	var sampled uint64
+	for _, n := range h.Hist {
+		sampled += n
+	}
+	if sampled != 10 {
+		t.Errorf("Hist after Release = %v, want the 10 sampled cycles", h.Hist)
+	}
+	h2 := New(cfg)
+	for _, addr := range []uint64{0, 64, 4096} {
+		if _, lvl := h2.Access(addr, 0); lvl != MEM {
+			t.Errorf("access %#x on a recycled hierarchy served from %v, want a cold miss", addr, lvl)
+		}
 	}
 }

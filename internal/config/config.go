@@ -189,11 +189,18 @@ func (c Core) WithDepth(depth int) Core {
 	return c
 }
 
-// Validate reports configuration mistakes early.
+// Validate reports configuration mistakes early. Every leaf of Core is
+// either checked here or free to take any value of its type (the split is
+// pinned by TestValidateCoversEveryLeaf), so a core that passes builds
+// and runs: no port, way or MSHR count of zero, no set count the index
+// mask would truncate, and no latency that schedules an event in the cycle
+// it was issued.
 func (c Core) Validate() error {
 	switch {
 	case c.FetchWidth <= 0 || c.RenameWidth <= 0 || c.IssueWidth <= 0 || c.RetireWidth <= 0:
 		return fmt.Errorf("config %s: widths must be positive", c.Name)
+	case c.ALUPorts <= 0 || c.MemPorts <= 0 || c.BrPorts <= 0:
+		return fmt.Errorf("config %s: issue ports must be positive", c.Name)
 	case c.ROBSize <= 0 || c.IQSize <= 0 || c.LQSize <= 0 || c.SQSize <= 0:
 		return fmt.Errorf("config %s: window resources must be positive", c.Name)
 	case c.NumPhysRegs < c.ROBSize:
@@ -212,9 +219,56 @@ func (c Core) Validate() error {
 		return fmt.Errorf("config %s: queue sizes must be positive", c.Name)
 	case c.NumCheckpoints < 0:
 		return fmt.Errorf("config %s: negative checkpoint count", c.Name)
+	case c.MulLatency <= 0 || c.DivLatency <= 0:
+		return fmt.Errorf("config %s: execution latencies must be at least 1 cycle", c.Name)
+	case c.BQMissPolicy > StallFetch:
+		return fmt.Errorf("config %s: unknown BQ miss policy %d", c.Name, c.BQMissPolicy)
+	case c.Predictor > PredBimodal:
+		return fmt.Errorf("config %s: unknown predictor %d", c.Name, c.Predictor)
+	case c.BTBLogSets < 0 || c.BTBLogSets > maxBTBLogSets:
+		return fmt.Errorf("config %s: BTB log2 sets %d outside [0,%d]", c.Name, c.BTBLogSets, maxBTBLogSets)
+	case c.BTBWays <= 0:
+		return fmt.Errorf("config %s: BTB ways must be positive", c.Name)
+	case c.RASDepth <= 0:
+		return fmt.Errorf("config %s: RAS depth must be positive", c.Name)
+	}
+	if err := validateCache(c.Cache); err != nil {
+		return fmt.Errorf("config %s: %w", c.Name, err)
 	}
 	return nil
 }
+
+// maxBTBLogSets bounds the BTB at 2^20 sets, 1024 times the baseline's; the
+// bound also keeps the entry count's shift in range.
+const maxBTBLogSets = 20
+
+// validateCache checks the hierarchy's leaves: the cache indexes a set by
+// masking the line address, so the line size and every level's set count
+// must be powers of two.
+func validateCache(c cache.Config) error {
+	switch {
+	case !isPow2(c.LineBytes):
+		return fmt.Errorf("cache line of %d bytes is not a power of two", c.LineBytes)
+	case c.NumMSHRs <= 0:
+		return fmt.Errorf("MSHR count must be positive")
+	case c.MemLatency == 0:
+		return fmt.Errorf("memory latency must be at least 1 cycle")
+	}
+	for _, l := range []cache.LevelConfig{c.L1, c.L2, c.L3} {
+		switch {
+		case l.Ways <= 0 || l.SizeKB <= 0:
+			return fmt.Errorf("cache level %s: size and ways must be positive", l.Name)
+		case l.Latency == 0:
+			return fmt.Errorf("cache level %s: latency must be at least 1 cycle", l.Name)
+		case l.SizeKB*1024%(c.LineBytes*l.Ways) != 0 || !isPow2(l.SizeKB*1024/(c.LineBytes*l.Ways)):
+			return fmt.Errorf("cache level %s: %d KB of %d-way %d-byte lines is not a power-of-two number of sets",
+				l.Name, l.SizeKB, l.Ways, c.LineBytes)
+		}
+	}
+	return nil
+}
+
+func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // TableII reports the minimum fetch-to-execute latencies of contemporary
 // cores cited by the paper (Table II), for documentation output.

@@ -150,7 +150,7 @@ func (m *Machine) Step() error {
 
 	failKind := func(kind fault.Kind, err error) error {
 		m.Halted = true
-		return fault.Wrap(kind, fmt.Errorf("emu: pc %d (%s): %w", pc, in, err), m.snapshot(pc))
+		return fault.Wrap(kind, fmt.Errorf("%s: %w", in, err), m.snapshot(pc))
 	}
 	// fail classifies the common case: ordering-rule violations are queue
 	// faults, anything else at an executing instruction is illegal use.
@@ -423,9 +423,7 @@ func (m *Machine) runCtx(ctx context.Context, limit uint64) error {
 			return ErrLimit
 		}
 		if reason, expired := wd.Check(m.Retired); expired {
-			return fault.Wrap(fault.WatchdogExpiry,
-				fmt.Errorf("emu: watchdog: %s after %d instructions (pc %d)", reason, m.Retired, m.PC),
-				m.snapshot(m.PC))
+			return fault.Wrap(fault.WatchdogExpiry, fmt.Errorf("watchdog: %s", reason), m.snapshot(m.PC))
 		}
 		if err := m.Step(); err != nil {
 			return err

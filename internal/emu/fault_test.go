@@ -212,3 +212,28 @@ func TestWatchdogDeadline(t *testing.T) {
 		t.Fatalf("err = %v, want watchdog-expiry fault", err)
 	}
 }
+
+// TestFaultText pins the text of the emulator's watchdog and
+// queue-violation faults: the engine and the pc appear once, in the
+// fault's own suffix.
+func TestFaultText(t *testing.T) {
+	cases := []struct {
+		name string
+		p    *prog.Program
+		kind fault.Kind
+		opts []Option
+		want string
+	}{
+		{"watchdog", prog.NewBuilder().Label("spin").Jump("spin").Halt().MustBuild(), fault.WatchdogExpiry,
+			[]Option{WithWatchdog(&fault.Watchdog{MaxCycles: 1000})},
+			"fault[watchdog-expiry] emu: watchdog: cycle budget exhausted (pc 0, cycle 0, retired 1000)"},
+		{"queue-violation", prog.NewBuilder().BranchBQ("done").Label("done").Halt().MustBuild(), fault.QueueViolation, nil,
+			"fault[queue-violation] emu: branch_bq +1: cfd: BQ pop: queue empty (pc 0, cycle 0, retired 0)"},
+	}
+	for _, tc := range cases {
+		f := wantFault(t, tc.p, tc.kind, tc.opts...)
+		if got := f.Error(); got != tc.want {
+			t.Errorf("%s fault text:\n got %s\nwant %s", tc.name, got, tc.want)
+		}
+	}
+}

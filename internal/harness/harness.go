@@ -242,15 +242,22 @@ func (r *Runner) Run(rs RunSpec) (*Result, error) {
 // RunCtx is Run with cancellation: a caller blocked on another
 // goroutine's in-flight simulation of the same spec returns early when ctx
 // is done (the simulation itself runs to completion and stays memoized).
+//
+// With a Store attached, a fresh simulation persists in place before
+// RunCtx returns.
 func (r *Runner) RunCtx(ctx context.Context, rs RunSpec) (*Result, error) {
-	res, err, _ := r.runCtx(ctx, rs, 0, nil)
+	res, err, info := r.runCtx(ctx, rs, 0, nil)
+	if r.Store != nil && info.fresh() {
+		r.storeBatch([]finished{{rs, res, err}})
+	}
 	return res, err
 }
 
 // runCtx is the memoizing core shared by RunCtx and Sweep. sweep is the
 // journal scope's sequence number (0 outside a journaled sweep) and builds
 // the sweep's build cache (nil outside a sweep); the returned runInfo says
-// how the result materialized, feeding the journal.
+// how the result materialized, feeding the journal. A fresh simulation is
+// memoized at once and left for the caller to persist.
 func (r *Runner) runCtx(ctx context.Context, rs RunSpec, sweep uint64, builds *buildCache) (*Result, error, runInfo) {
 	key := rs.key()
 	r.lookups.Add(1)
@@ -285,13 +292,9 @@ func (r *Runner) runCtx(ctx context.Context, rs RunSpec, sweep uint64, builds *b
 			Workload: rs.Workload, Variant: string(rs.Variant), Config: rs.Config.Name,
 		})
 	}
-	var info runInfo
 	e.res, e.err = r.simulate(rs, builds)
-	if r.Store != nil {
-		info.stored = r.storePersist(rs, key, e.res, e.err)
-	}
 	close(e.done)
-	return e.res, e.err, info
+	return e.res, e.err, runInfo{}
 }
 
 // Results returns every successfully completed memoized result, sorted by
@@ -394,10 +397,15 @@ func (r *Runner) simulate(rs RunSpec, builds *buildCache) (res *Result, err erro
 	return r.runBuild(rs, b)
 }
 
-// runBuild runs b as rs under the Runner's verify flag and watchdog.
+// runBuild runs b as rs under the Runner's verify flag and watchdog, and
+// releases the core once its Result is built (the Result holds no pooled
+// memory), so the next spec's core reuses its arrays.
 func (r *Runner) runBuild(rs RunSpec, b *Build) (res *Result, err error) {
 	defer containPanic(rs, &res, &err)
-	res, _, err = Simulate(rs, b, r.Verify, r.watchdog())
+	res, core, err := Simulate(rs, b, r.Verify, r.watchdog())
+	if core != nil {
+		core.Release()
+	}
 	return res, err
 }
 
@@ -431,7 +439,8 @@ func containPanic(rs RunSpec, res **Result, err *error) {
 // from their own clone of b's image. wd, when non-nil, bounds the run and
 // the oracle pre-run; extra options (a pipeline trace, say) are applied to
 // the core. The core is returned whenever one was built, also after a
-// failed run, so a caller can read its partial trace.
+// failed run, so a caller can read its partial trace; the Runner releases
+// it instead (runBuild), since the Result holds nothing the pools reuse.
 func Simulate(rs RunSpec, b *Build, verify bool, wd *fault.Watchdog, extra ...pipeline.Option) (*Result, *pipeline.Core, error) {
 	p := b.prog
 	var opts []pipeline.Option

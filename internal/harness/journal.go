@@ -30,6 +30,9 @@ type runInfo struct {
 	stored   bool
 }
 
+// fresh reports whether the call simulated the spec itself.
+func (i runInfo) fresh() bool { return !i.cacheHit && !i.storeHit }
+
 // sweepScope journals one Sweep's lifecycle. A nil scope (journal
 // disabled) is a no-op on every method.
 type sweepScope struct {

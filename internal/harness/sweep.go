@@ -34,6 +34,15 @@ func (r *Runner) Sweep(ctx context.Context, specs []RunSpec) ([]*Result, error) 
 	}
 	sw := r.beginSweep(len(specs), jobs)
 	defer sw.finish()
+	// With a store, fresh completions go to the sweep's committer, so the
+	// workers never wait on the disk. It drains before sweep_finish (the
+	// deferred calls run last-in first-out) and before Sweep returns, on
+	// cancellation too.
+	var cm *committer
+	if r.Store != nil {
+		cm = r.startCommitter(sw)
+		defer cm.stop()
+	}
 	builds := newBuildCache()
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -55,7 +64,11 @@ func (r *Runner) Sweep(ctx context.Context, specs []RunSpec) ([]*Result, error) 
 				}
 				sw.submit(specs[i])
 				res, err, info := r.runCtx(ctx, specs[i], sw.id(), builds)
-				sw.done(specs[i], res, err, info)
+				if cm != nil && info.fresh() {
+					cm.queue <- finished{specs[i], res, err}
+				} else {
+					sw.done(specs[i], res, err, info)
+				}
 				if err != nil {
 					errs[i] = err
 					if !r.KeepGoing {

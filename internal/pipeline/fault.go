@@ -1,8 +1,6 @@
 package pipeline
 
 import (
-	"fmt"
-
 	"cfd/internal/core"
 	"cfd/internal/fault"
 )
@@ -27,10 +25,11 @@ func (c *Core) snapshot() fault.Snapshot {
 // queueFault raises a QueueViolation fault wrapping the ISA ordering-rule
 // violation v, with pc overriding the snapshot's fetch PC (faults detected
 // at retire anchor at the retiring instruction, not the fetch frontier).
+// The fault's text names the engine and the pc, so v is wrapped bare.
 func (c *Core) queueFault(pc uint64, v *core.ViolationError) error {
 	snap := c.snapshot()
 	snap.PC = pc
-	return fault.Wrap(fault.QueueViolation, fmt.Errorf("pipeline: pc %d: %w", pc, v), snap)
+	return fault.Wrap(fault.QueueViolation, v, snap)
 }
 
 // checkInvariants validates the model's internal pointer discipline. A

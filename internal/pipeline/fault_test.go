@@ -161,3 +161,30 @@ func TestPipelineWatchdogContextCancel(t *testing.T) {
 		t.Fatalf("err = %v, want watchdog-expiry fault", err)
 	}
 }
+
+// TestPipelineFaultText pins the text of the pipeline's watchdog, deadlock
+// and queue-violation faults: the engine, the pc and the cycle appear
+// once, in the fault's own suffix.
+func TestPipelineFaultText(t *testing.T) {
+	spin := prog.NewBuilder().Label("spin").Jump("spin").Halt().MustBuild()
+	cases := []struct {
+		name string
+		p    *prog.Program
+		kind fault.Kind
+		opts []Option
+		want string
+	}{
+		{"watchdog", spin, fault.WatchdogExpiry, []Option{WithWatchdog(&fault.Watchdog{MaxCycles: 3000})},
+			"fault[watchdog-expiry] pipeline: watchdog: cycle budget exhausted (pc 0, cycle 3000, retired 2990)"},
+		{"deadlock", prog.NewBuilder().PopTQ().Halt().MustBuild(), fault.Deadlock, []Option{WithDeadlockLimit(2000)},
+			"fault[deadlock] pipeline: no retirement progress (deadlock) (pc 0, cycle 2001, retired 0)"},
+		{"queue-violation", prog.NewBuilder().Nop().BranchBQ("done").Label("done").Halt().MustBuild(), fault.QueueViolation, nil,
+			"fault[queue-violation] pipeline: cfd: BQ branch_bq: retired with no pushed predicate (push/pop ordering violation) (pc 1, cycle 10, retired 1)"},
+	}
+	for _, tc := range cases {
+		f := runForFault(t, testConfig(), tc.p, tc.kind, tc.opts...)
+		if got := f.Error(); got != tc.want {
+			t.Errorf("%s fault text:\n got %s\nwant %s", tc.name, got, tc.want)
+		}
+	}
+}

@@ -22,6 +22,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 
 	"cfd/internal/cache"
 	"cfd/internal/config"
@@ -31,6 +32,7 @@ import (
 	"cfd/internal/isa"
 	"cfd/internal/mem"
 	"cfd/internal/obs"
+	"cfd/internal/pool"
 	"cfd/internal/predictor"
 	"cfd/internal/prog"
 	"cfd/internal/stats"
@@ -42,7 +44,8 @@ var ErrLimit = errors.New("pipeline: instruction limit reached")
 
 // ErrDeadlock is returned, inside a fault.Deadlock fault, when no
 // instruction retires for a long time — always a model or program bug.
-var ErrDeadlock = errors.New("pipeline: no retirement progress (deadlock)")
+// The fault's text names the engine, the pc and the cycle.
+var ErrDeadlock = errors.New("no retirement progress (deadlock)")
 
 const noReg = int32(-1)
 
@@ -320,7 +323,9 @@ type Core struct {
 	// (copying a several-hundred-byte uop per stage dominated the hot
 	// loop). The ring is sized for ROBSize plus the front-end capacity.
 	rob     []uop
-	bp      []bpSlot // branch predictor state, indexed like rob
+	bp      []bpSlot  // branch predictor state, indexed like rob
+	robBuf  *[]uop    // rob, from robPool
+	bpBuf   *[]bpSlot // bp, from bpPool
 	robMask uint64
 	robHead uint64
 	robTail uint64
@@ -442,9 +447,20 @@ func WithoutIdleSkip() Option { return func(c *Core) { c.idleSkipOff = true } }
 // thousands of cycles, not hundreds of thousands).
 const defaultStallLimit = 200000
 
+// robPool and bpPool recycle the rob and bp rings of released cores (see
+// Release). Their lengths follow the window, so a core larger than the one
+// that released an array misses and allocates.
+var (
+	robPool sync.Pool
+	bpPool  sync.Pool
+)
+
 // New builds a core. The memory m holds the workload's initial data; the
 // core commits stores back to it, so pass a clone if the caller needs the
-// original. m may be nil.
+// original. m may be nil. The large zeroed arrays — the cache lines, the
+// BTB entries, the event wheel's buckets and the rob and bp rings — come
+// from pools that Release returns them to; every other field is built
+// fresh.
 func New(cfg config.Core, p *prog.Program, m *mem.Memory, opts ...Option) (*Core, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -461,6 +477,8 @@ func New(cfg config.Core, p *prog.Program, m *mem.Memory, opts ...Option) (*Core
 	capFQ := cfg.FetchWidth * (cfg.FrontEndDepth + 1)
 	robCap := nextPow2(max(cfg.ROBSize+capFQ, 64))
 	sqCap := nextPow2(cfg.SQSize)
+	robBuf := pool.Zeroed[uop](&robPool, int(robCap))
+	bpBuf := pool.Zeroed[bpSlot](&bpPool, int(robCap))
 	c := &Core{
 		cfg:     cfg,
 		prog:    p,
@@ -473,8 +491,10 @@ func New(cfg config.Core, p *prog.Program, m *mem.Memory, opts ...Option) (*Core
 		bq:      bqHW{size: cfg.BQSize, mask: bqCap - 1, entries: make([]bqEntryHW, bqCap)},
 		tq:      tqHW{size: cfg.TQSize, mask: tqCap - 1, entries: make([]tqEntryHW, tqCap)},
 		vq:      vqRen{size: cfg.VQSize, mask: vqCap - 1, mapping: make([]int32, vqCap)},
-		rob:     make([]uop, robCap),
-		bp:      make([]bpSlot, robCap),
+		rob:     *robBuf,
+		bp:      *bpBuf,
+		robBuf:  robBuf,
+		bpBuf:   bpBuf,
 		robMask: robCap - 1,
 		sq:      make([]sqEntry, sqCap),
 		sqMask:  sqCap - 1,
@@ -520,6 +540,25 @@ func New(cfg config.Core, p *prog.Program, m *mem.Memory, opts ...Option) (*Core
 		return nil, errors.New("pipeline: WithPerfectBP requires WithOracle")
 	}
 	return c, nil
+}
+
+// Release returns the core's pooled arrays (see New) for the next core to
+// reuse. Call it once nothing reads the core any more: the released fields
+// are nil afterwards, so a use after release panics. Stats, the memory, the
+// observer and the hierarchy's Hist are not pooled, so a Result built from
+// them stays valid.
+func (c *Core) Release() {
+	if c.robBuf == nil {
+		return
+	}
+	c.hier.Release()
+	c.btb.Release()
+	bucketPool.Put(c.events.bucketsBuf)
+	robPool.Put(c.robBuf)
+	bpPool.Put(c.bpBuf)
+	c.events.buckets, c.events.bucketsBuf = nil, nil
+	c.rob, c.robBuf = nil, nil
+	c.bp, c.bpBuf = nil, nil
 }
 
 // Cycle runs one clock cycle.
@@ -710,9 +749,7 @@ func (c *Core) runCtx(ctx context.Context, maxRetired uint64) error {
 			return ErrLimit
 		}
 		if reason, expired := wd.Check(c.now); expired {
-			return fault.Wrap(fault.WatchdogExpiry,
-				fmt.Errorf("pipeline: watchdog: %s at cycle %d (pc %d)", reason, c.now, c.fetchPC),
-				c.snapshot())
+			return fault.Wrap(fault.WatchdogExpiry, fmt.Errorf("watchdog: %s", reason), c.snapshot())
 		}
 		if err := c.Cycle(); err != nil {
 			return err
@@ -721,9 +758,7 @@ func (c *Core) runCtx(ctx context.Context, maxRetired uint64) error {
 			c.idleSkip(wd, limit)
 		}
 		if c.now-c.lastRetireCycle > limit {
-			return fault.Wrap(fault.Deadlock,
-				fmt.Errorf("%w at cycle %d (pc %d)", ErrDeadlock, c.now, c.fetchPC),
-				c.snapshot())
+			return fault.Wrap(fault.Deadlock, ErrDeadlock, c.snapshot())
 		}
 		if c.now&1023 == 0 {
 			if err := c.checkInvariants(); err != nil {

@@ -1,5 +1,11 @@
 package pipeline
 
+import (
+	"sync"
+
+	"cfd/internal/pool"
+)
+
 // eventRing is the completion wheel's bucket count; it must exceed the
 // longest normal operation latency including MSHR queueing.
 const eventRing = 1 << 14
@@ -20,16 +26,23 @@ type completion struct {
 // allocates only while the pool grows to the most events ever in flight.
 // Node 0 is unused, so a zero index ends a list and marks an empty bucket.
 type wheel struct {
-	buckets []bucket
-	nodes   []completion
-	free    int32 // free-list head (0 = empty)
+	buckets    []bucket
+	bucketsBuf *[]bucket // buckets, from bucketPool
+	nodes      []completion
+	free       int32 // free-list head (0 = empty)
 }
 
 type bucket struct{ head, tail int32 }
 
+// bucketPool recycles the bucket arrays of released cores (see
+// Core.Release).
+var bucketPool sync.Pool
+
 // newWheel returns an empty wheel whose pool starts with room for n events.
+// Its buckets are taken zeroed from bucketPool.
 func newWheel(n int) wheel {
-	return wheel{buckets: make([]bucket, eventRing), nodes: make([]completion, 1, n+1)}
+	buf := pool.Zeroed[bucket](&bucketPool, eventRing)
+	return wheel{buckets: *buf, bucketsBuf: buf, nodes: make([]completion, 1, n+1)}
 }
 
 // push appends ev to bucket b, in a free node or a new one.

@@ -1,5 +1,11 @@
 package predictor
 
+import (
+	"sync"
+
+	"cfd/internal/pool"
+)
+
 // BTB is a set-associative branch target buffer. Its role (paper §III-C4):
 // detect control instructions and provide their taken-targets in the same
 // cycle they are fetched. A taken branch that misses in the BTB costs a
@@ -7,7 +13,8 @@ package predictor
 // like every other branch so a queue-resolved taken pop pays no penalty on
 // a BTB hit.
 type BTB struct {
-	entries []btbEntry // set s holds entries[s*ways : (s+1)*ways]
+	entries []btbEntry  // set s holds entries[s*ways : (s+1)*ways]
+	buf     *[]btbEntry // entries, from btbPool
 	setMask uint64
 	ways    int
 	hits    uint64
@@ -18,20 +25,41 @@ type BTB struct {
 	clock uint64
 }
 
+// btbEntry is one BTB way. tag holds (pc>>1)+1 for a valid entry and 0 for
+// an empty one, so a zeroed array is an empty BTB.
 type btbEntry struct {
-	valid  bool
 	tag    uint64
 	target uint64
 	lru    uint64
 }
 
-// NewBTB returns a BTB with 2^logSets sets of the given associativity.
+// btbTag is the stored tag of pc; the +1 keeps 0 free to mean empty.
+func btbTag(pc uint64) uint64 { return pc>>1 + 1 }
+
+// btbPool recycles the entries of released BTBs (see Release).
+var btbPool sync.Pool
+
+// NewBTB returns a BTB with 2^logSets sets of the given associativity. Its
+// entries are taken zeroed from the pool a released BTB returns them to.
 func NewBTB(logSets, ways int) *BTB {
+	buf := pool.Zeroed[btbEntry](&btbPool, ways<<logSets)
 	return &BTB{
-		entries: make([]btbEntry, ways<<logSets),
+		entries: *buf,
+		buf:     buf,
 		setMask: 1<<logSets - 1,
 		ways:    ways,
 	}
+}
+
+// Release returns the BTB's entries to the pool NewBTB takes them from. The
+// BTB must not be used afterwards: its entries are gone, so a lookup
+// panics.
+func (b *BTB) Release() {
+	if b.buf == nil {
+		return
+	}
+	btbPool.Put(b.buf)
+	b.buf, b.entries = nil, nil
 }
 
 // set returns the ways of pc's set.
@@ -43,9 +71,9 @@ func (b *BTB) set(pc uint64) []btbEntry {
 // Lookup returns the cached taken-target for pc.
 func (b *BTB) Lookup(pc uint64) (target uint64, hit bool) {
 	set := b.set(pc)
-	tag := pc >> 1
+	tag := btbTag(pc)
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+		if set[i].tag == tag {
 			b.clock++
 			set[i].lru = b.clock
 			b.hits++
@@ -59,14 +87,14 @@ func (b *BTB) Lookup(pc uint64) (target uint64, hit bool) {
 // Insert records pc's taken-target, replacing the LRU way on conflict.
 func (b *BTB) Insert(pc, target uint64) {
 	set := b.set(pc)
-	tag := pc >> 1
+	tag := btbTag(pc)
 	victim := 0
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+		if set[i].tag == tag {
 			victim = i
 			break
 		}
-		if !set[i].valid {
+		if set[i].tag == 0 {
 			victim = i
 			break
 		}
@@ -75,7 +103,7 @@ func (b *BTB) Insert(pc, target uint64) {
 		}
 	}
 	b.clock++
-	set[victim] = btbEntry{valid: true, tag: tag, target: target, lru: b.clock}
+	set[victim] = btbEntry{tag: tag, target: target, lru: b.clock}
 }
 
 // Stats returns hit and miss counts.

@@ -2,7 +2,9 @@ package predictor
 
 import (
 	"math/rand"
+	"runtime/debug"
 	"testing"
+	"unsafe"
 )
 
 // drive runs a (pc, taken) trace through a predictor in functional-profiling
@@ -219,6 +221,34 @@ func TestBTBUpdateExistingEntry(t *testing.T) {
 	b.Insert(0x20, 0x222)
 	if tgt, hit := b.Lookup(0x20); !hit || tgt != 0x222 {
 		t.Errorf("updated target = %#x,%v, want 0x222", tgt, hit)
+	}
+}
+
+// TestBTBEntrySize pins a BTB way at three words: the valid bit lives in
+// the tag (0 = empty).
+func TestBTBEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(btbEntry{}); got != 24 {
+		t.Errorf("BTB entry is %d B, want 24", got)
+	}
+}
+
+// TestReleasedBTBComesBackEmpty: a BTB built on entries a released one
+// returned starts empty, even for pc 0.
+func TestReleasedBTBComesBackEmpty(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	b := NewBTB(2, 2)
+	for _, pc := range []uint64{0, 1, 0x10} {
+		b.Insert(pc, pc+0x100)
+		if tgt, hit := b.Lookup(pc); !hit || tgt != pc+0x100 {
+			t.Fatalf("lookup %#x = %#x,%v", pc, tgt, hit)
+		}
+	}
+	b.Release()
+	b = NewBTB(2, 2)
+	for _, pc := range []uint64{0, 1, 0x10} {
+		if _, hit := b.Lookup(pc); hit {
+			t.Errorf("recycled BTB hit pc %#x", pc)
+		}
 	}
 }
 

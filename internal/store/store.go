@@ -4,8 +4,9 @@
 // package persists one opaque JSON payload per key so completed work
 // survives the process. Entries are written with a crash-safe protocol —
 // write to a temp file in the same directory, fsync, then atomically
-// rename — so a SIGKILL or power cut at any instant leaves either the
-// previous state or the complete new entry, never a torn file that decodes.
+// rename, with one directory sync per batch of entries (PutBatch) — so a
+// SIGKILL or power cut at any instant leaves either the previous state or
+// the complete new entry, never a torn file that decodes.
 //
 // Every entry is an envelope carrying the store schema and version, the
 // full key (the file name is only its SHA-256), the payload's declared
@@ -313,13 +314,41 @@ func (s *Store) verify(key string, data []byte) (payload []byte, reason string) 
 	return env.Payload, ""
 }
 
-// Put stores payload under key with the crash-safe protocol: marshal the
-// envelope, write it to a uniquely named temp file in the entries
-// directory, fsync, close, and atomically rename over the final name. An
-// existing entry for key is replaced. Transient failures retry the whole
-// write; a persistent failure is returned (and counted) for the caller to
-// degrade on.
+// Entry is one key and payload of a PutBatch.
+type Entry struct {
+	Key     string
+	Payload []byte
+}
+
+// Put stores payload under key: a PutBatch of one entry.
 func (s *Store) Put(key string, payload []byte) error {
+	return s.PutBatch([]Entry{{Key: key, Payload: payload}})[0]
+}
+
+// PutBatch stores every entry with the crash-safe protocol and
+// group-commits their directory entries. Each entry is marshalled into its
+// envelope, written to a uniquely named temp file in the entries
+// directory, fsynced, closed and atomically renamed over its final name,
+// replacing any existing entry for its key; a transient failure retries
+// that entry's whole write. Then one best-effort directory sync covers
+// every rename of the batch. It returns one error per entry: an entry
+// whose error is nil is durable when PutBatch returns, and a persistent
+// failure is counted for the caller to degrade on.
+func (s *Store) PutBatch(entries []Entry) []error {
+	errs := make([]error, len(entries))
+	renamed := false
+	for i, e := range entries {
+		errs[i] = s.put(e.Key, e.Payload)
+		renamed = renamed || errs[i] == nil
+	}
+	if renamed {
+		s.syncDir()
+	}
+	return errs
+}
+
+// put writes one entry of a batch, up to and including its rename.
+func (s *Store) put(key string, payload []byte) error {
 	sum := sha256.Sum256(payload)
 	env := envelope{
 		Schema:         Schema,
@@ -381,15 +410,18 @@ func (s *Store) writeAtomic(path string, data []byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	// Best effort: persist the directory entry too, so the rename itself
-	// survives a power cut. Failure here is not worth failing the Put —
-	// the entry is already durable-enough for every crash short of power
-	// loss, and the next run would simply re-simulate.
-	if d, err := os.Open(dir); err == nil {
+	return nil
+}
+
+// syncDir persists the entries directory, so the renames before it
+// survive a power cut. It is best effort: failure here is not worth
+// failing a put — the entries are already durable-enough for every crash
+// short of power loss, and the next run would simply re-simulate.
+func (s *Store) syncDir() {
+	if d, err := os.Open(filepath.Join(s.dir, entriesDir)); err == nil {
 		d.Sync()
 		d.Close()
 	}
-	return nil
 }
 
 // Quarantine moves the entry for key (if present) to the quarantine side
