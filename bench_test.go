@@ -52,12 +52,11 @@ func BenchmarkFig27_TQ(b *testing.B)                 { benchExperiment(b, "fig27
 func BenchmarkFig28_BQTQ(b *testing.B)               { benchExperiment(b, "fig28") }
 
 // Ablations beyond the paper's figures: the §VI baseline-selection studies
-// and the compiler-pass analog.
+// and the §II-B if-conversion crossover.
 
 func BenchmarkAblationCheckpoints(b *testing.B)     { benchExperiment(b, "ablation-ckpt") }
 func BenchmarkAblationIfConvCrossover(b *testing.B) { benchExperiment(b, "ablation-ifconv") }
 func BenchmarkAblationPredictors(b *testing.B)      { benchExperiment(b, "ablation-pred") }
-func BenchmarkAblationAutoCFD(b *testing.B)         { benchExperiment(b, "ablation-xform") }
 
 // Parallel-harness benchmarks: one experiment under explicit -jobs
 // settings. On a multi-core host BenchmarkFig18Parallel should approach

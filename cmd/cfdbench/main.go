@@ -53,9 +53,10 @@
 // land after its experiment's timing line. The end-of-run cache totals
 // print on stderr regardless.
 //
-// -json - streams the document to stdout; the experiment tables then move
-// to stderr so stdout carries exactly one machine-parseable JSON document,
-// whatever other flags (-metrics, -keep-going) are set.
+// -json - or -trace-out - streams that document to stdout; the experiment
+// tables then move to stderr so stdout carries exactly one machine-parseable
+// JSON document, whatever other flags (-metrics, -keep-going) are set. The
+// two cannot share stdout.
 //
 // -trace-out renders the journal's spec_done events as a virtual timeline
 // (one span per distinct spec, laid end to end in key order, as wide as
@@ -177,6 +178,10 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(argv); err != nil {
 		return exitUsage
 	}
+	if *jsonPath == "-" && *traceOut == "-" {
+		fmt.Fprintln(stderr, "cfdbench: -json - and -trace-out - cannot share stdout")
+		return exitUsage
+	}
 	errorf := func(format string, args ...interface{}) int {
 		fmt.Fprintf(stderr, "cfdbench: "+format+"\n", args...)
 		return exitError
@@ -199,7 +204,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	if *list {
 		// The specs column is each experiment's embedded-manifest expansion
 		// size; "-" marks experiments with no spec sweep (static tables,
-		// classification studies, custom-program ablations).
+		// classification studies).
 		for _, e := range harness.AllExperiments() {
 			count := "-"
 			if e.Manifest != nil {
@@ -254,11 +259,11 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// With -json - the document owns stdout: everything human-readable —
-	// the experiment tables included — moves to stderr, so stdout can be
-	// piped straight into a decoder.
+	// With -json - or -trace-out - the document owns stdout: everything
+	// human-readable — the experiment tables included — moves to stderr,
+	// so stdout can be piped straight into a decoder.
 	tableOut := stdout
-	if *jsonPath == "-" {
+	if *jsonPath == "-" || *traceOut == "-" {
 		tableOut = stderr
 	}
 

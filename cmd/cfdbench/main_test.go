@@ -17,6 +17,7 @@ import (
 
 	"cfd/internal/export"
 	"cfd/internal/harness"
+	"cfd/internal/obs"
 	"cfd/internal/obs/journal"
 	"cfd/internal/serve"
 )
@@ -278,6 +279,30 @@ func TestTraceOutCanonical(t *testing.T) {
 	}
 }
 
+// TestTraceOutStdout: -trace-out - owns stdout as -json - does: all of
+// stdout is one well-formed trace, and the tables go to stderr. The two
+// documents together are bad usage.
+func TestTraceOutStdout(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run(context.Background(), []string{"-exp", "fig18", "-scale", "0.02", "-jobs", "2",
+		"-trace-out", "-"}, &stdout, &stderr)
+	if code != 0 {
+		t.Fatalf("exit %d\nstderr:\n%s", code, stderr.String())
+	}
+	if n, err := obs.ValidateTrace(bytes.NewReader(stdout.Bytes())); err != nil || n == 0 {
+		t.Errorf("stdout is not one trace with events (%d events): %v\n%.500s", n, err, stdout.String())
+	}
+	if !strings.Contains(stderr.String(), "### fig18") {
+		t.Error("experiment table missing from stderr")
+	}
+
+	stdout.Reset()
+	code = run(context.Background(), []string{"-exp", "fig18", "-json", "-", "-trace-out", "-"}, &stdout, &stderr)
+	if code != exitUsage || stdout.Len() != 0 {
+		t.Errorf("-json - with -trace-out -: exit %d with %d bytes of stdout, want %d and none", code, stdout.Len(), exitUsage)
+	}
+}
+
 // TestMetricsLines pins the -metrics line format and its numbering: one
 // line per spec of each sweep, [1/N] through [N/N] once each.
 func TestMetricsLines(t *testing.T) {
@@ -363,6 +388,9 @@ func TestListShowsSpecCounts(t *testing.T) {
 	}
 	if want := fmt.Sprint(len(specs)); lines["fig18"] != want {
 		t.Errorf("fig18 spec count column = %q, want %q", lines["fig18"], want)
+	}
+	if lines["ablation-ifconv"] != "15" {
+		t.Errorf("ablation-ifconv spec count column = %q, want \"15\"", lines["ablation-ifconv"])
 	}
 	if lines["table5"] != "-" {
 		t.Errorf("table5 spec count column = %q, want \"-\"", lines["table5"])

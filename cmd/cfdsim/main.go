@@ -34,6 +34,11 @@
 // ends in a fault still writes the -json document, with the fault recorded
 // in its faults section.
 //
+// -json - or -trace-out - writes that document to stdout, and everything
+// else the run prints (the statistics, -branches, -pipeview, the -inject and
+// -inject-store reports) then goes to stderr, so stdout holds exactly one
+// parseable document. The two cannot share stdout.
+//
 // -inject runs a seeded fault-injection campaign instead of a simulation:
 // N corruptions of live architectural queue state and save/restore images,
 // each of which must be caught by a typed fault, a watchdog, or the
@@ -121,7 +126,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		name        = fs.String("workload", "soplexlike", "workload name (see -list)")
-		variant     = fs.String("variant", "base", "variant: base, cfd, cfd+, dfd, cfd+dfd, cfdtq, cfdbq, cfdbqtq")
+		variant     = fs.String("variant", "base", "variant: base, cfd, cfd+, dfd, cfd+dfd, cfdtq, cfdbq, cfdbqtq, ifconvert")
 		n           = fs.Int64("n", 0, "input size in work items (0 = workload default)")
 		window      = fs.Int("window", 168, "ROB size (168 = paper baseline; larger windows scale IQ/LQ/SQ)")
 		depth       = fs.Int("depth", 10, "minimum fetch-to-execute latency in cycles")
@@ -149,12 +154,22 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
+	if *jsonPath == "-" && *traceOut == "-" {
+		fmt.Fprintln(stderr, "cfdsim: -json - and -trace-out - cannot share stdout")
+		return 2
+	}
+	// report takes what the run prints for a reader, so a document written
+	// to stdout is all that stdout holds.
+	report := stdout
+	if *jsonPath == "-" || *traceOut == "-" {
+		report = stderr
+	}
 
 	if *inject > 0 {
-		return runCampaign(stdout, stderr, *inject, *seed, *jsonPath)
+		return runCampaign(report, stdout, stderr, *inject, *seed, *jsonPath)
 	}
 	if *injectStore > 0 {
-		return runStoreCampaign(stdout, stderr, *injectStore, *seed, *jsonPath)
+		return runStoreCampaign(report, stdout, stderr, *injectStore, *seed, *jsonPath)
 	}
 
 	if *list {
@@ -219,39 +234,39 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 	if err == nil {
 		if *verify {
-			fmt.Fprintln(stdout, "verify          OK (retired state matches the functional emulator)")
+			fmt.Fprintln(report, "verify          OK (retired state matches the functional emulator)")
 		}
 
 		st := res.Stats
-		fmt.Fprintf(stdout, "workload        %s/%s (n=%d) on %s\n", s.Name, *variant, size, cfg.Name)
-		fmt.Fprintf(stdout, "cycles          %d\n", st.Cycles)
-		fmt.Fprintf(stdout, "retired         %d (IPC %.3f)\n", st.Retired, st.IPC())
-		fmt.Fprintf(stdout, "fetched         %d (wrong-path %d)\n", st.Fetched, st.Fetched-st.Retired)
-		fmt.Fprintf(stdout, "cond branches   %d, mispredicts %d (MPKI %.2f)\n", st.CondBranches, st.Mispredicts, st.MPKI())
-		fmt.Fprintf(stdout, "recoveries      %d resolve-time, %d retire-time\n", st.Recoveries, st.RetireRecoveries)
-		fmt.Fprintf(stdout, "BQ              pops %d (fetch-resolved %d, spec %d, late mispredict %d)\n",
+		fmt.Fprintf(report, "workload        %s/%s (n=%d) on %s\n", s.Name, *variant, size, cfg.Name)
+		fmt.Fprintf(report, "cycles          %d\n", st.Cycles)
+		fmt.Fprintf(report, "retired         %d (IPC %.3f)\n", st.Retired, st.IPC())
+		fmt.Fprintf(report, "fetched         %d (wrong-path %d)\n", st.Fetched, st.Fetched-st.Retired)
+		fmt.Fprintf(report, "cond branches   %d, mispredicts %d (MPKI %.2f)\n", st.CondBranches, st.Mispredicts, st.MPKI())
+		fmt.Fprintf(report, "recoveries      %d resolve-time, %d retire-time\n", st.Recoveries, st.RetireRecoveries)
+		fmt.Fprintf(report, "BQ              pops %d (fetch-resolved %d, spec %d, late mispredict %d)\n",
 			st.BQPops, st.BQResolvedAtFetch, st.BQMisses, st.BQLateMispredict)
-		fmt.Fprintf(stdout, "BQ stalls       full %d cycles, miss %d cycles\n", st.BQFullStalls, st.BQMissStalls)
-		fmt.Fprintf(stdout, "TQ              pops %d, TCR branches %d, miss stalls %d cycles\n",
+		fmt.Fprintf(report, "BQ stalls       full %d cycles, miss %d cycles\n", st.BQFullStalls, st.BQMissStalls)
+		fmt.Fprintf(report, "TQ              pops %d, TCR branches %d, miss stalls %d cycles\n",
 			st.TQPops, st.TCRBranches, st.TQMissStalls)
-		fmt.Fprintf(stdout, "mispred levels  NoData %d, L1 %d, L2 %d, L3 %d, MEM %d\n",
+		fmt.Fprintf(report, "mispred levels  NoData %d, L1 %d, L2 %d, L3 %d, MEM %d\n",
 			st.MispredByLevel[0], st.MispredByLevel[1], st.MispredByLevel[2],
 			st.MispredByLevel[3], st.MispredByLevel[4])
-		fmt.Fprintf(stdout, "energy          %.0f pJ total (%.0f dynamic, %.0f queue structures)\n",
+		fmt.Fprintf(report, "energy          %.0f pJ total (%.0f dynamic, %.0f queue structures)\n",
 			res.EnergyTotal, res.EnergyDynamic, res.EnergyQueue)
 
-		fmt.Fprintln(stdout)
+		fmt.Fprintln(report)
 		if cerr := st.CPI.Check(st.Cycles); cerr != nil {
 			return fatalf(stderr, "%v", cerr)
 		}
-		fmt.Fprintln(stdout, st.CPI.Render("CPI stack (cycle attribution)", st.Retired))
+		fmt.Fprintln(report, st.CPI.Render("CPI stack (cycle attribution)", st.Retired))
 
 		if o := core.Observer(); o != nil {
-			fmt.Fprintf(stdout, "telemetry       %d samples every %d cycles\n\n", len(o.Samples), o.Every)
+			fmt.Fprintf(report, "telemetry       %d samples every %d cycles\n\n", len(o.Samples), o.Every)
 			if occ := o.Occupancy(); occ != nil {
-				fmt.Fprint(stdout, occupancyChart("BQ occupancy", occ.BQ))
-				fmt.Fprint(stdout, occupancyChart("VQ occupancy", occ.VQ))
-				fmt.Fprint(stdout, occupancyChart("TQ occupancy", occ.TQ))
+				fmt.Fprint(report, occupancyChart("BQ occupancy", occ.BQ))
+				fmt.Fprint(report, occupancyChart("VQ occupancy", occ.VQ))
+				fmt.Fprint(report, occupancyChart("TQ occupancy", occ.TQ))
 			}
 		}
 	}
@@ -299,7 +314,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 
 	if *branches {
-		fmt.Fprintln(stdout, "\nper-branch statistics (retired):")
+		fmt.Fprintln(report, "\nper-branch statistics (retired):")
 		br := res.Stats.PerBranch
 		pcs := make([]uint64, 0, len(br))
 		for pc := range br {
@@ -320,15 +335,15 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			if note, ok := p.Notes[pc]; ok {
 				name = note.Name
 			}
-			fmt.Fprintf(stdout, "  pc %-6d %-40s execs %-9d taken %5.1f%%  missrate %5.2f%%\n",
+			fmt.Fprintf(report, "  pc %-6d %-40s execs %-9d taken %5.1f%%  missrate %5.2f%%\n",
 				pc, name, bs.Execs,
 				100*float64(bs.Taken)/float64(bs.Execs),
 				100*float64(bs.Mispredicts)/float64(bs.Execs))
 		}
 	}
 	if *pipeview > 0 {
-		fmt.Fprintln(stdout)
-		fmt.Fprint(stdout, core.Pipeview())
+		fmt.Fprintln(report)
+		fmt.Fprint(report, core.Pipeview())
 	}
 	return 0
 }
@@ -343,18 +358,18 @@ func writeArtifact(stdout io.Writer, path string, encode func(io.Writer) error, 
 }
 
 // runCampaign executes the seeded fault-injection campaign, prints the
-// summary, optionally writes the cfd-faultinject JSON report, and returns a
-// nonzero exit code when any injection went undetected.
-func runCampaign(stdout, stderr io.Writer, n int, seed int64, jsonPath string) int {
+// summary to report, optionally writes the cfd-faultinject JSON report, and
+// returns a nonzero exit code when any injection went undetected.
+func runCampaign(report, stdout, stderr io.Writer, n int, seed int64, jsonPath string) int {
 	rep, err := faultinject.Run(faultinject.Config{Seed: seed, Injections: n})
 	if err != nil {
 		return fatalf(stderr, "%v", err)
 	}
-	fmt.Fprintf(stdout, "fault injection  seed %d: %d injected, %d detected, %d missed (%d draws skipped)\n",
+	fmt.Fprintf(report, "fault injection  seed %d: %d injected, %d detected, %d missed (%d draws skipped)\n",
 		rep.Seed, rep.Injected, rep.Detected, rep.Missed, rep.Skipped)
 	for _, site := range faultinject.AllSites {
 		if st := rep.BySite[site]; st != nil {
-			fmt.Fprintf(stdout, "  %-12s injected %4d  detected %4d  missed %4d\n",
+			fmt.Fprintf(report, "  %-12s injected %4d  detected %4d  missed %4d\n",
 				site, st.Injected, st.Detected, st.Missed)
 		}
 	}
@@ -365,17 +380,18 @@ func runCampaign(stdout, stderr io.Writer, n int, seed int64, jsonPath string) i
 // on-disk damage (torn writes, bit flips, truncation, stale schemas,
 // stripped checksums) to a populated store, each of which must be caught by
 // quarantine with the damaged sweep converging back to the golden results.
-// The exit code is nonzero when any corruption goes undetected.
-func runStoreCampaign(stdout, stderr io.Writer, n int, seed int64, jsonPath string) int {
+// The summary goes to report; the exit code is nonzero when any corruption
+// goes undetected.
+func runStoreCampaign(report, stdout, stderr io.Writer, n int, seed int64, jsonPath string) int {
 	rep, err := faultinject.RunStore(faultinject.StoreConfig{Seed: seed, Injections: n})
 	if err != nil {
 		return fatalf(stderr, "%v", err)
 	}
-	fmt.Fprintf(stdout, "store corruption  seed %d: %d injected, %d detected, %d missed\n",
+	fmt.Fprintf(report, "store corruption  seed %d: %d injected, %d detected, %d missed\n",
 		rep.Seed, rep.Injected, rep.Detected, rep.Missed)
 	for _, site := range faultinject.AllStoreSites {
 		if st := rep.BySite[site]; st != nil {
-			fmt.Fprintf(stdout, "  %-22s injected %4d  detected %4d  missed %4d\n",
+			fmt.Fprintf(report, "  %-22s injected %4d  detected %4d  missed %4d\n",
 				site, st.Injected, st.Detected, st.Missed)
 		}
 	}

@@ -55,24 +55,54 @@ func TestObservabilitySnapshot(t *testing.T) {
 }
 
 // TestTraceOutStdout: -trace-out - writes the trace to the stdout run was
-// given, after the run's statistics, and the trace found there is well
-// formed.
+// given, and nothing else: all of stdout is one well-formed trace, and the
+// run's statistics go to stderr.
 func TestTraceOutStdout(t *testing.T) {
 	code, stdout, stderr := cfdsim(t, "-workload", "soplexlike", "-variant", "cfd", "-n", "2000",
 		"-trace-out", "-", "-trace-limit", "100")
 	if code != 0 {
 		t.Fatalf("exit %d\n%s", code, stderr)
 	}
-	i := strings.Index(stdout, "\n{\n")
-	if i < 0 || !strings.HasPrefix(stdout, "workload ") {
-		t.Fatalf("stdout does not hold the statistics and then a trace:\n%s", stdout)
-	}
-	n, err := obs.ValidateTrace(strings.NewReader(stdout[i+1:]))
+	n, err := obs.ValidateTrace(strings.NewReader(stdout))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("stdout is not one trace: %v\n%.500s", err, stdout)
 	}
 	if n == 0 {
 		t.Error("trace on stdout has no events")
+	}
+	if !strings.HasPrefix(stderr, "workload ") {
+		t.Errorf("stderr does not open with the statistics:\n%.500s", stderr)
+	}
+}
+
+// TestJSONStdout: -json - puts exactly one decodable document on stdout,
+// holding the run; the statistics, -branches and -pipeview go to stderr.
+func TestJSONStdout(t *testing.T) {
+	code, stdout, stderr := cfdsim(t, "-workload", "soplexlike", "-variant", "cfd", "-n", "2000",
+		"-branches", "-pipeview", "20", "-json", "-")
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr)
+	}
+	doc, err := export.Decode(strings.NewReader(stdout))
+	if err != nil {
+		t.Fatalf("stdout is not one document: %v\n%.500s", err, stdout)
+	}
+	if len(doc.Runs) != 1 || doc.Runs[0].Workload != "soplexlike" {
+		t.Errorf("document holds %d runs, want the one soplexlike run", len(doc.Runs))
+	}
+	for _, want := range []string{"workload ", "per-branch statistics", "CPI stack"} {
+		if !strings.Contains(stderr, want) {
+			t.Errorf("stderr lacks %q", want)
+		}
+	}
+}
+
+// TestStdoutDocumentsConflict: -json - and -trace-out - together are bad
+// usage, since both documents would land on stdout.
+func TestStdoutDocumentsConflict(t *testing.T) {
+	code, stdout, _ := cfdsim(t, "-json", "-", "-trace-out", "-")
+	if code != 2 || stdout != "" {
+		t.Errorf("exit %d with stdout %q, want 2 and nothing", code, stdout)
 	}
 }
 

@@ -91,17 +91,18 @@ func DefaultConfig() Config {
 	}
 }
 
-// line is one cache way. tag holds (lineAddr>>1)+1 for a valid line and 0
-// for an empty one, so a line is two words and a zeroed array is an empty
+// line is one cache way. tag holds lineAddr+1 for a valid line and 0 for
+// an empty one, so a line is two words and a zeroed array is an empty
 // cache.
 type line struct {
 	tag uint64
 	lru uint64
 }
 
-// lineTag is the stored tag of lineAddr: the full tag (the setMask bits are
-// redundant but harmless) plus one, which keeps 0 free to mean empty.
-func lineTag(lineAddr uint64) uint64 { return lineAddr>>1 + 1 }
+// lineTag is the stored tag of lineAddr: the whole line address, so the
+// lines of a one-set level never alias, plus one, which keeps 0 free to
+// mean empty.
+func lineTag(lineAddr uint64) uint64 { return lineAddr + 1 }
 
 type level struct {
 	cfg      LevelConfig

@@ -235,6 +235,23 @@ func TestLineSize(t *testing.T) {
 	}
 }
 
+// TestOneSetLevelKeepsLinesApart: in a fully associative (one-set) L1,
+// adjacent lines are distinct: line 1 misses right after line 0 is filled.
+func TestOneSetLevelKeepsLinesApart(t *testing.T) {
+	cfg := smallConfig()
+	cfg.L1 = LevelConfig{Name: "L1", SizeKB: 1, Ways: 16, Latency: 4}
+	h := New(cfg)
+	if _, lvl := h.Access(0, 0); lvl != MEM {
+		t.Fatalf("cold access to line 0 served from %v", lvl)
+	}
+	if _, lvl := h.Access(0, 1000); lvl != L1 {
+		t.Fatalf("warm access to line 0 served from %v", lvl)
+	}
+	if _, lvl := h.Access(64, 2000); lvl == L1 {
+		t.Error("line 1 hit in L1 after only line 0 was filled")
+	}
+}
+
 // TestReleasedLinesComeBackEmpty: a hierarchy built on lines a released
 // one returned starts cold, even for line address 0, whose stored tag is
 // the smallest valid one; and Release keeps Hist, which a Result holds.

@@ -166,10 +166,4 @@ func init() {
 			return err
 		},
 	})
-
-	registerExp(&Experiment{
-		ID:    "ablation-xform",
-		Title: "Compiler-pass analog: automatic vs manual CFD (paper §III-B)",
-		Run:   runXformAblation,
-	})
 }

@@ -32,14 +32,8 @@ func NewBuild(rs RunSpec, n int64) (*Build, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newBuild(p, m), nil
-}
-
-// newBuild wraps a program and the image it starts from. The Build keeps
-// a clone of m: a clone owns no page, so cloning it again writes nothing
-// to it, and the caller may go on using m.
-func newBuild(p *prog.Program, m *mem.Memory) *Build {
-	return &Build{prog: p, img: m.Clone()}
+	// A clone owns no page, so cloning it again writes nothing to it.
+	return &Build{prog: p, img: m.Clone()}, nil
 }
 
 // Program returns the compiled program. It is shared: do not modify it.

@@ -148,24 +148,56 @@ func TestRunWatchdogFault(t *testing.T) {
 	}
 }
 
-// TestOwnProgramsUnderRunnerBudget: the experiments that build their own
-// programs run them through Simulate with the Runner's settings, so its
-// cycle budget stops them with a typed watchdog fault, and -verify
-// replays them on the emulator.
+// TestOwnProgramsUnderRunnerBudget: ablation-ifconv's crossover workloads
+// run as the specs its manifest declares, under the Runner's settings. A
+// cycle budget stops them with a typed watchdog fault; with KeepGoing every
+// declared spec is memoized as one, so Failures (and the export's faults
+// section) holds them all; and -verify replays each on the emulator, the
+// cross-check the All-driven workload tests do not reach, since All does
+// not list these workloads.
 func TestOwnProgramsUnderRunnerBudget(t *testing.T) {
-	for _, id := range []string{"ablation-ifconv", "ablation-xform"} {
-		e, _ := ByID(id)
-		r := NewRunner(0.02)
-		r.MaxCycles = 1000
-		err := r.RunExperiment(e, io.Discard)
-		if f, ok := fault.As(err); !ok || f.Kind != fault.WatchdogExpiry {
-			t.Errorf("%s with MaxCycles 1000: err = %v, want a watchdog-expiry fault", id, err)
+	e, _ := ByID("ablation-ifconv")
+	specs, err := e.Specs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(specs) != 15 {
+		t.Fatalf("ablation-ifconv declares %d specs, want 15", len(specs))
+	}
+
+	r := NewRunner(0.02)
+	r.MaxCycles = 1000
+	err = r.RunExperiment(e, io.Discard)
+	if f, ok := fault.As(err); !ok || f.Kind != fault.WatchdogExpiry {
+		t.Errorf("MaxCycles 1000: err = %v, want a watchdog-expiry fault", err)
+	}
+
+	r = NewRunner(0.02)
+	r.MaxCycles = 1000
+	r.KeepGoing = true
+	if err := r.RunExperiment(e, io.Discard); err == nil {
+		t.Error("MaxCycles 1000 with KeepGoing: the table rendered from faulted runs")
+	}
+	fails := r.Failures()
+	if len(fails) != len(specs) {
+		t.Fatalf("MaxCycles 1000 with KeepGoing: %d failures, want one per declared spec (%d)", len(fails), len(specs))
+	}
+	for i, fl := range fails {
+		if fl.Spec.key() != specs[i].key() {
+			t.Errorf("failure %d is %s, want %s", i, fl.Spec.key(), specs[i].key())
 		}
-		r = NewRunner(0.02)
-		r.Verify = true
-		if err := r.RunExperiment(e, io.Discard); err != nil {
-			t.Errorf("%s under -verify: %v", id, err)
+		if f, ok := fault.As(fl.Err); !ok || f.Kind != fault.WatchdogExpiry {
+			t.Errorf("%s/%s: %v, want a watchdog-expiry fault", fl.Spec.Workload, fl.Spec.Variant, fl.Err)
 		}
+	}
+
+	r = NewRunner(0.02)
+	r.Verify = true
+	if err := r.RunExperiment(e, io.Discard); err != nil {
+		t.Errorf("under -verify: %v", err)
+	}
+	if got := len(r.Results()); got != len(specs) {
+		t.Errorf("under -verify: %d results, want %d", got, len(specs))
 	}
 }
 

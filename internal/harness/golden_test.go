@@ -24,7 +24,7 @@ const goldenScale = 0.02
 // goldens are valid regardless of the parallelism they were recorded or
 // replayed under.
 func TestGoldenExperiments(t *testing.T) {
-	for _, id := range []string{"fig6", "fig17", "fig18", "table1", "table5"} {
+	for _, id := range []string{"ablation-ifconv", "fig6", "fig17", "fig18", "table1", "table5"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			e, ok := ByID(id)

@@ -378,11 +378,18 @@ var (
 )
 
 // simulate performs the actual cycle-level run for rs (no result caching),
-// taking its Build from builds. A panic escaping either engine (or a
-// workload builder) is contained here and memoized as a RuntimePanic fault,
-// so one dying run cannot take down a sweep's worker pool.
+// taking its Build from builds, under the Runner's verify flag and
+// watchdog. A panic escaping either engine (or a workload builder) is
+// contained here and memoized as a RuntimePanic fault, so one dying run
+// cannot take down a sweep's worker pool. The core is released once its
+// Result is built (the Result holds no pooled memory), so the next spec's
+// core reuses its arrays.
 func (r *Runner) simulate(rs RunSpec, builds *buildCache) (res *Result, err error) {
-	defer containPanic(rs, &res, &err)
+	defer func() {
+		if v := recover(); v != nil {
+			res, err = nil, panicError(rs, fault.FromPanic(v, debug.Stack(), fault.Snapshot{Engine: "harness"}))
+		}
+	}()
 	if h := testOnSimulate; h != nil {
 		h(rs)
 	}
@@ -394,41 +401,11 @@ func (r *Runner) simulate(rs RunSpec, builds *buildCache) (res *Result, err erro
 	if err != nil {
 		return nil, err
 	}
-	return r.runBuild(rs, b)
-}
-
-// runBuild runs b as rs under the Runner's verify flag and watchdog, and
-// releases the core once its Result is built (the Result holds no pooled
-// memory), so the next spec's core reuses its arrays.
-func (r *Runner) runBuild(rs RunSpec, b *Build) (res *Result, err error) {
-	defer containPanic(rs, &res, &err)
 	res, core, err := Simulate(rs, b, r.Verify, r.watchdog())
 	if core != nil {
 		core.Release()
 	}
 	return res, err
-}
-
-// ownRun is one simulation of a program that an experiment builds itself,
-// outside the registered workloads, the cache and the sweeps.
-type ownRun struct {
-	rs RunSpec
-	b  *Build
-}
-
-// runOwn runs an experiment's own programs across the worker pool, each
-// through runBuild, and returns their results in order; the first error
-// stops the rest.
-func (r *Runner) runOwn(runs []ownRun) ([]*Result, error) {
-	return mapConcurrently(r.jobs(), runs, func(o ownRun) (*Result, error) { return r.runBuild(o.rs, o.b) })
-}
-
-// containPanic, deferred, turns a panic in rs's build or run into its
-// runtime-panic fault.
-func containPanic(rs RunSpec, res **Result, err *error) {
-	if v := recover(); v != nil {
-		*res, *err = nil, panicError(rs, fault.FromPanic(v, debug.Stack(), fault.Snapshot{Engine: "harness"}))
-	}
 }
 
 // Simulate is the one step from a RunSpec and its Build to a simulated run,
@@ -440,7 +417,8 @@ func containPanic(rs RunSpec, res **Result, err *error) {
 // the oracle pre-run; extra options (a pipeline trace, say) are applied to
 // the core. The core is returned whenever one was built, also after a
 // failed run, so a caller can read its partial trace; the Runner releases
-// it instead (runBuild), since the Result holds nothing the pools reuse.
+// it instead (Runner.simulate), since the Result holds nothing the pools
+// reuse.
 func Simulate(rs RunSpec, b *Build, verify bool, wd *fault.Watchdog, extra ...pipeline.Option) (*Result, *pipeline.Core, error) {
 	p := b.prog
 	var opts []pipeline.Option
@@ -517,8 +495,8 @@ func Simulate(rs RunSpec, b *Build, verify bool, wd *fault.Watchdog, extra ...pi
 // are declared, not coded: Manifest (when non-nil) is the single source
 // of the experiment's spec set, expanded and prefetched by RunExperiment
 // before Run assembles the rows; Run itself only replays memoized
-// lookups. Experiments with no registered-workload simulations (custom
-// programs, classification studies, static tables) have a nil Manifest.
+// lookups. Experiments that simulate nothing (classification studies,
+// static tables) have a nil Manifest.
 type Experiment struct {
 	ID    string // "fig18", "table1", ...
 	Title string

@@ -55,7 +55,7 @@ func statsWith(cycles, retired uint64) (s pipeline.Stats) {
 
 func TestExperimentRegistryComplete(t *testing.T) {
 	want := []string{
-		"ablation-ckpt", "ablation-hwpf", "ablation-ifconv", "ablation-pred", "ablation-xform",
+		"ablation-ckpt", "ablation-hwpf", "ablation-ifconv", "ablation-pred",
 		"fig1", "fig17", "fig18", "fig19", "fig2a", "fig2b", "fig20",
 		"fig21a", "fig21b", "fig21c", "fig22", "fig23", "fig24",
 		"fig25a", "fig25b", "fig26", "fig27", "fig28", "fig6",

@@ -20,17 +20,15 @@ import (
 // those sets byte for byte, forever.
 
 // nonManifestExps pins the experiments that legitimately carry no
-// manifest: classification studies, static tables, and custom-program
-// ablations that do not sweep RunSpecs.
+// manifest: classification studies and static tables, which simulate
+// nothing.
 var nonManifestExps = map[string]bool{
-	"fig6":            true,
-	"table1":          true,
-	"table2":          true,
-	"fig17":           true,
-	"table5":          true,
-	"table6":          true,
-	"ablation-xform":  true,
-	"ablation-ifconv": true,
+	"fig6":   true,
+	"table1": true,
+	"table2": true,
+	"fig17":  true,
+	"table5": true,
+	"table6": true,
 }
 
 // TestManifestCoverage: every experiment either embeds a manifest or is

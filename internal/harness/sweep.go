@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -127,51 +126,4 @@ func (r *Runner) Prefetch(specs ...RunSpec) error {
 	}
 	_, err := r.Sweep(ctx, specs)
 	return err
-}
-
-// mapConcurrently applies f to every item across a pool of jobs workers
-// (0 = GOMAXPROCS) and returns the outputs in items order; the first error
-// cancels the remaining work. It is the Sweep analog for experiment stages
-// that run custom programs instead of registered workloads.
-func mapConcurrently[T, U any](jobs int, items []T, f func(T) (U, error)) ([]U, error) {
-	out := make([]U, len(items))
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	if jobs > len(items) {
-		jobs = len(items)
-	}
-	errs := make([]error, len(items))
-	var stop atomic.Bool
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < jobs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(items) {
-					return
-				}
-				if stop.Load() {
-					continue
-				}
-				u, err := f(items[i])
-				if err != nil {
-					errs[i] = err
-					stop.Store(true)
-					continue
-				}
-				out[i] = u
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

@@ -110,14 +110,15 @@ type ConfigSet struct {
 // knownVariants pins the accepted variant names, so a manifest typo is a
 // validation error instead of a silently empty expansion.
 var knownVariants = map[string]bool{
-	string(workload.Base):    true,
-	string(workload.CFD):     true,
-	string(workload.CFDPlus): true,
-	string(workload.DFD):     true,
-	string(workload.CFDDFD):  true,
-	string(workload.CFDTQ):   true,
-	string(workload.CFDBQ):   true,
-	string(workload.CFDBQTQ): true,
+	string(workload.Base):      true,
+	string(workload.CFD):       true,
+	string(workload.CFDPlus):   true,
+	string(workload.DFD):       true,
+	string(workload.CFDDFD):    true,
+	string(workload.CFDTQ):     true,
+	string(workload.CFDBQ):     true,
+	string(workload.CFDBQTQ):   true,
+	string(workload.IfConvert): true,
 }
 
 // presets maps Base names to configuration constructors.

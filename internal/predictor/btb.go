@@ -25,16 +25,17 @@ type BTB struct {
 	clock uint64
 }
 
-// btbEntry is one BTB way. tag holds (pc>>1)+1 for a valid entry and 0 for
-// an empty one, so a zeroed array is an empty BTB.
+// btbEntry is one BTB way. tag holds pc+1 for a valid entry and 0 for an
+// empty one, so a zeroed array is an empty BTB.
 type btbEntry struct {
 	tag    uint64
 	target uint64
 	lru    uint64
 }
 
-// btbTag is the stored tag of pc; the +1 keeps 0 free to mean empty.
-func btbTag(pc uint64) uint64 { return pc>>1 + 1 }
+// btbTag is the stored tag of pc: the whole pc, so pcs of a one-set BTB
+// never alias, plus one, which keeps 0 free to mean empty.
+func btbTag(pc uint64) uint64 { return pc + 1 }
 
 // btbPool recycles the entries of released BTBs (see Release).
 var btbPool sync.Pool

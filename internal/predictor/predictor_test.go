@@ -232,6 +232,19 @@ func TestBTBEntrySize(t *testing.T) {
 	}
 }
 
+// TestOneSetBTBKeepsPCsApart: a BTB of one set (log-sets 0) holds adjacent
+// pcs apart: pc 1 misses after only pc 0 was inserted.
+func TestOneSetBTBKeepsPCsApart(t *testing.T) {
+	b := NewBTB(0, 4)
+	b.Insert(0, 0x100)
+	if tgt, hit := b.Lookup(0); !hit || tgt != 0x100 {
+		t.Fatalf("lookup 0 = %#x,%v", tgt, hit)
+	}
+	if tgt, hit := b.Lookup(1); hit {
+		t.Errorf("pc 1 hit (target %#x) after only pc 0 was inserted", tgt)
+	}
+}
+
 // TestReleasedBTBComesBackEmpty: a BTB built on entries a released one
 // returned starts empty, even for pc 0.
 func TestReleasedBTBComesBackEmpty(t *testing.T) {

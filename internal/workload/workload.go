@@ -36,6 +36,8 @@ const (
 	CFDTQ   Variant = "cfdtq"   // trip-count queue on the loop-branch (§IV-C)
 	CFDBQ   Variant = "cfdbq"   // BQ on the inner branch only (Fig 28)
 	CFDBQTQ Variant = "cfdbqtq" // BQ and TQ together (Fig 28)
+	// IfConvert replaces the hammock's branch with a select (§II-B).
+	IfConvert Variant = "ifconvert"
 )
 
 // Spec describes one workload.
@@ -69,6 +71,11 @@ type Spec struct {
 	// differ (tifflike's "cfd" is the hoist schedule, §VII-A); absent
 	// entries map the variant name to the transform of the same name.
 	Xforms map[Variant]xform.Transform
+	// Unlisted keeps the workload out of All, and so out of every
+	// registry-wide set (the manifest's all, class and hasVariant
+	// selectors, the classification study, cfdsim -list); ByName still
+	// finds it. Workloads that only one ablation runs set it.
+	Unlisted bool
 }
 
 // Transform returns the pass-pipeline transform that builds variant v.
@@ -177,11 +184,14 @@ func ByName(name string) (*Spec, bool) {
 	return s, ok
 }
 
-// All returns every registered workload, sorted by name.
+// All returns every registered workload that is not Unlisted, sorted by
+// name.
 func All() []*Spec {
 	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
+	for n, s := range registry {
+		if !s.Unlisted {
+			names = append(names, n)
+		}
 	}
 	sort.Strings(names)
 	out := make([]*Spec, len(names))

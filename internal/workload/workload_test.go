@@ -194,3 +194,56 @@ func TestDefaultSizesUsable(t *testing.T) {
 		}
 	}
 }
+
+// TestCrossoverWorkloads: ByName finds each crossover workload, All (which
+// every registry-wide selection reads) lists none of them, and each
+// variant leaves the base's accumulator r12 on the emulator. The kernel
+// stores nothing, so the memory comparison of TestAllVariantsMatchBaseline
+// would not see a wrong transform.
+func TestCrossoverWorkloads(t *testing.T) {
+	for _, s := range All() {
+		if s.Unlisted {
+			t.Errorf("All lists the unlisted workload %s", s.Name)
+		}
+	}
+	for _, name := range []string{"crossover-cd1", "crossover-cd4", "crossover-cd10", "crossover-cd18", "crossover-cd26"} {
+		s, ok := ByName(name)
+		if !ok {
+			t.Errorf("ByName(%s) missing", name)
+			continue
+		}
+		base := runEmu(t, s, Base, s.TestN)
+		if base.Regs[12] == 0 {
+			t.Fatalf("%s/base leaves r12 zero", name)
+		}
+		for _, v := range s.Variants {
+			if got := runEmu(t, s, v, s.TestN); got.Regs[12] != base.Regs[12] {
+				t.Errorf("%s/%s: r12 = %#x, base %#x", name, v, got.Regs[12], base.Regs[12])
+			}
+		}
+	}
+}
+
+// TestClassAnnotationsMatchClassifier: every kernel workload, listed or
+// not, is annotated with the class the pass's classifier gives its kernel.
+// Class stays a hand annotation because deriving it at registration would
+// build every workload's memory image in every process.
+func TestClassAnnotationsMatchClassifier(t *testing.T) {
+	specs := All()
+	for _, cd := range CrossoverCDs {
+		s, _ := ByName(CrossoverName(cd))
+		specs = append(specs, s)
+	}
+	for _, s := range specs {
+		if s.Kernel == nil {
+			continue
+		}
+		f, _, err := s.Kernel(s.TestN)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
+		if cls, err := f.Classify(); cls != s.Class || err != nil {
+			t.Errorf("%s: annotated %v, classified %v (%v)", s.Name, s.Class, cls, err)
+		}
+	}
+}
