@@ -121,8 +121,10 @@ func Emulate(p *Program, m *Memory, limit uint64) (*Machine, error) {
 // golden architectural model — and returns an error describing the first
 // divergence in retired-instruction count, architectural registers, or
 // final memory (nil if the two agree). m may be nil; it is cloned for both
-// runs. This is the differential-verification primitive behind the
-// harness's Verify mode and cfdbench/cfdsim -verify.
+// runs. It is the differential-verification primitive behind the harness's
+// Verify mode and cfdbench/cfdsim -verify: the harness makes the same
+// comparison, but replays each build on the emulator once and compares
+// every core that ran the build against that one replay.
 func CrossCheck(cfg CoreConfig, p *Program, m *Memory) error {
 	if m == nil {
 		m = mem.New()

@@ -422,7 +422,7 @@ func (m *Machine) runCtx(ctx context.Context, limit uint64) error {
 		if limit != 0 && m.Retired >= limit {
 			return ErrLimit
 		}
-		if reason, expired := wd.Check(m.Retired); expired {
+		if reason, expired := wd.CheckRetired(m.Retired); expired {
 			return fault.Wrap(fault.WatchdogExpiry, fmt.Errorf("watchdog: %s", reason), m.snapshot(m.PC))
 		}
 		if err := m.Step(); err != nil {

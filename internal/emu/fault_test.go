@@ -226,7 +226,7 @@ func TestFaultText(t *testing.T) {
 	}{
 		{"watchdog", prog.NewBuilder().Label("spin").Jump("spin").Halt().MustBuild(), fault.WatchdogExpiry,
 			[]Option{WithWatchdog(&fault.Watchdog{MaxCycles: 1000})},
-			"fault[watchdog-expiry] emu: watchdog: cycle budget exhausted (pc 0, cycle 0, retired 1000)"},
+			"fault[watchdog-expiry] emu: watchdog: instruction budget exhausted (pc 0, cycle 0, retired 1000)"},
 		{"queue-violation", prog.NewBuilder().BranchBQ("done").Label("done").Halt().MustBuild(), fault.QueueViolation, nil,
 			"fault[queue-violation] emu: branch_bq +1: cfd: BQ pop: queue empty (pc 0, cycle 0, retired 0)"},
 	}

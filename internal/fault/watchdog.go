@@ -61,13 +61,29 @@ func (w *Watchdog) Enabled() bool {
 
 // Check reports whether the watchdog has expired at cycle n. The returned
 // string names the bound that fired. Wall-clock and context checks run only
-// every PollEvery cycles.
+// every PollEvery cycles. A nil watchdog returns before any call, since
+// engines check once per cycle.
 func (w *Watchdog) Check(n uint64) (string, bool) {
 	if w == nil {
 		return "", false
 	}
+	return w.check(n, "cycle budget exhausted")
+}
+
+// CheckRetired is Check for an engine whose clock is its retired
+// instruction count (the emulator), so an exhausted budget is named an
+// instruction budget.
+func (w *Watchdog) CheckRetired(n uint64) (string, bool) {
+	if w == nil {
+		return "", false
+	}
+	return w.check(n, "instruction budget exhausted")
+}
+
+// check is Check on a non-nil watchdog, with the reason its budget gives.
+func (w *Watchdog) check(n uint64, budget string) (string, bool) {
 	if w.MaxCycles != 0 && n >= w.MaxCycles {
-		return "cycle budget exhausted", true
+		return budget, true
 	}
 	poll := w.PollEvery
 	if poll == 0 {

@@ -148,6 +148,29 @@ func TestRunWatchdogFault(t *testing.T) {
 	}
 }
 
+// TestOraclePreRunBudget: the Runner's budget also bounds the emulator's
+// oracle pre-run of a perfect-prediction spec, counted in retired
+// instructions. A budget one below the spec's retired count stops the
+// pre-run, so the fault names the pre-run and an instruction budget.
+func TestOraclePreRunBudget(t *testing.T) {
+	rs := RunSpec{Workload: "soplexlike", Variant: workload.Base, Config: config.SandyBridge(), PerfectAll: true}
+	res, err := NewRunner(0.001).Run(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(0.001)
+	r.MaxCycles = res.Stats.Retired - 1
+	_, err = r.Run(rs)
+	if f, ok := fault.As(err); !ok || f.Kind != fault.WatchdogExpiry {
+		t.Fatalf("MaxCycles %d: err = %v, want a watchdog-expiry fault", r.MaxCycles, err)
+	}
+	for _, want := range []string{"oracle pre-run", "instruction budget exhausted"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("the fault does not name the %s: %v", want, err)
+		}
+	}
+}
+
 // TestOwnProgramsUnderRunnerBudget: ablation-ifconv's crossover workloads
 // run as the specs its manifest declares, under the Runner's settings. A
 // cycle budget stops them with a typed watchdog fault; with KeepGoing every

@@ -47,10 +47,11 @@ type Runner struct {
 	// (0 = runtime.GOMAXPROCS(0)). Jobs == 1 preserves the strictly
 	// serial execution order.
 	Jobs int
-	// Verify cross-checks every pipeline run against a fresh run of the
+	// Verify cross-checks every pipeline run against a run of the
 	// functional emulator — the golden architectural model — and fails
 	// the run on any divergence in retired-instruction count,
-	// architectural registers, or final memory.
+	// architectural registers, or final memory. The emulator replays each
+	// build once (Simulate), so a sweep replays each program once.
 	Verify bool
 	// KeepGoing makes Sweep run every spec to completion instead of
 	// cancelling on the first failure. Failed specs yield nil results;
@@ -110,14 +111,15 @@ type Runner struct {
 // deterministic for a given experiment sequence — a duplicate spec counts
 // as a cache hit whether it joined an in-flight simulation or found a
 // finished one, and a cache miss counts as a simulation whether it was
-// computed fresh or restored from the persistent store — so metric deltas
-// are safe to include in exported output that must be byte-identical
-// across -jobs settings and across interrupted-then-resumed sweeps. The
+// computed fresh, served by a run its sweep shared with another spec, or
+// restored from the persistent store — so metric deltas are safe to
+// include in exported output that must be byte-identical across -jobs
+// settings and across interrupted-then-resumed sweeps. The
 // fresh-vs-restored split (which is a property of the process's history,
 // not of the experiment) is reported separately by Store.Metrics.
 type Metrics struct {
 	Lookups     uint64 `json:"lookups"`     // Run/RunCtx calls
-	Simulations uint64 `json:"simulations"` // cache misses materialized (simulated or store-restored)
+	Simulations uint64 `json:"simulations"` // cache misses materialized (simulated, shared or store-restored)
 	CacheHits   uint64 `json:"cacheHits"`   // lookups served by the cache
 }
 
@@ -378,12 +380,13 @@ var (
 )
 
 // simulate performs the actual cycle-level run for rs (no result caching),
-// taking its Build from builds, under the Runner's verify flag and
-// watchdog. A panic escaping either engine (or a workload builder) is
-// contained here and memoized as a RuntimePanic fault, so one dying run
-// cannot take down a sweep's worker pool. The core is released once its
-// Result is built (the Result holds no pooled memory), so the next spec's
-// core reuses its arrays.
+// taking its Build, and its run when another spec of the sweep shares it,
+// from builds, under the Runner's verify flag and watchdog. A panic
+// escaping either engine (or a workload builder) is contained here and
+// memoized as a RuntimePanic fault, so one dying run cannot take down a
+// sweep's worker pool. The core is released once its Result is built (the
+// Result holds no pooled memory), so the next spec's core reuses its
+// arrays.
 func (r *Runner) simulate(rs RunSpec, builds *buildCache) (res *Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -401,24 +404,28 @@ func (r *Runner) simulate(rs RunSpec, builds *buildCache) (res *Result, err erro
 	if err != nil {
 		return nil, err
 	}
-	res, core, err := Simulate(rs, b, r.Verify, r.watchdog())
-	if core != nil {
-		core.Release()
-	}
-	return res, err
+	return builds.run(rs, b, func() (*Result, error) {
+		res, core, err := Simulate(rs, b, r.Verify, r.watchdog())
+		if core != nil {
+			core.Release()
+		}
+		return res, err
+	})
 }
 
 // Simulate is the one step from a RunSpec and its Build to a simulated run,
 // shared by the Runner, cfdsim and cfd.Simulate. It runs b's program to
-// completion on a core with rs.Config, and, with verify set, cross-checks
-// the retired state against the functional emulator. The run, the verify
-// replay and the oracle pre-run of the perfect-prediction modes each start
-// from their own clone of b's image. wd, when non-nil, bounds the run and
-// the oracle pre-run; extra options (a pipeline trace, say) are applied to
-// the core. The core is returned whenever one was built, also after a
-// failed run, so a caller can read its partial trace; the Runner releases
-// it instead (Runner.simulate), since the Result holds nothing the pools
-// reuse.
+// completion on a core with rs.Config, and, with verify set, compares the
+// retired state against b's golden replay on the functional emulator. That
+// replay runs once per Build, for the first verified run, and every later
+// verified run of b compares against it, so a sweep replays each of its
+// programs once however many cores run it. The run, the golden replay and
+// the oracle pre-run of the perfect-prediction modes each start from their
+// own clone of b's image. wd, when non-nil, bounds the run and the oracle
+// pre-run; extra options (a pipeline trace, say) are applied to the core.
+// The core is returned whenever one was built, also after a failed run, so
+// a caller can read its partial trace; the Runner releases it instead
+// (Runner.simulate), since the Result holds nothing the pools reuse.
 func Simulate(rs RunSpec, b *Build, verify bool, wd *fault.Watchdog, extra ...pipeline.Option) (*Result, *pipeline.Core, error) {
 	p := b.prog
 	var opts []pipeline.Option
@@ -465,8 +472,11 @@ func Simulate(rs RunSpec, b *Build, verify bool, wd *fault.Watchdog, extra ...pi
 		return nil, core, fmt.Errorf("harness: %s/%s on %s: %w", rs.Workload, rs.Variant, cfg.Name, err)
 	}
 	if verify {
-		if err := emu.VerifyArch(p, b.img.Clone(), core.ArchRegs(), core.Mem(), core.Stats.Retired,
-			emu.WithQueueSizes(cfg.BQSize, cfg.VQSize, cfg.TQSize)); err != nil {
+		golden, err := b.golden()
+		if err == nil {
+			err = golden.Compare(core.ArchRegs(), core.Mem(), core.Stats.Retired)
+		}
+		if err != nil {
 			return nil, core, fmt.Errorf("harness: differential verification of %s/%s on %s: %w",
 				rs.Workload, rs.Variant, cfg.Name, err)
 		}

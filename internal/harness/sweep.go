@@ -10,8 +10,12 @@ import (
 // Sweep fans specs across a pool of r.jobs() workers and returns the
 // results in specs order. Duplicate specs (within the sweep or against
 // earlier runs) simulate exactly once thanks to the Runner's singleflight
-// cache, and specs that run the same program (same workload, variant,
-// input size and queue capacities) share one build (see buildCache). The
+// cache. Within the sweep, specs that run the same program (same workload,
+// variant, input size and queue capacities) share one build and, under
+// Verify, its one golden replay; and specs the program cannot tell apart
+// (their configs differ only in Name, or in BQMissPolicy on a program
+// without a BranchBQ; see pipeline.Reduce) share one pipeline run, each
+// taking a copy of its Result with its own Spec (see buildCache). The
 // first failing spec cancels the rest of the sweep; the error reported is
 // the failure at the lowest index, so error reporting is deterministic
 // whatever the worker count. With one worker (Jobs == 1) the specs run

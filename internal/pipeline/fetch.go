@@ -1,10 +1,13 @@
 package pipeline
 
 import (
+	"slices"
+
 	"cfd/internal/config"
 	"cfd/internal/core"
 	"cfd/internal/energy"
 	"cfd/internal/isa"
+	"cfd/internal/prog"
 )
 
 // fetch models the fetch unit: up to FetchWidth instructions per cycle, one
@@ -303,6 +306,20 @@ func (c *Core) fetchBranchBQ(u *uop) (next uint64, stall bool) {
 		return u.pc + 1, false
 	}
 	return c.bqMiss(u)
+}
+
+// Reduce returns cfg with the fields a core running p never reads set to
+// their zero values, so two configs that reduce alike run p to the same
+// Stats, energy and memory. Name only labels New's validation errors.
+// BQMissPolicy is read only by bqMiss, which only a fetched BranchBQ
+// reaches, and fetch never leaves p's instructions (prog.Program.At is
+// HALT outside them).
+func Reduce(cfg config.Core, p *prog.Program) config.Core {
+	cfg.Name = ""
+	if !slices.ContainsFunc(p.Insts, func(in isa.Inst) bool { return in.Op == isa.BranchBQ }) {
+		cfg.BQMissPolicy = 0
+	}
+	return cfg
 }
 
 func (c *Core) bqMiss(u *uop) (next uint64, stall bool) {
