@@ -137,8 +137,9 @@ func main() {
 	// SIGINT/SIGTERM cancel the context; the sweeps drain (in-flight
 	// simulations complete and, with -store, persist) and the process
 	// exits with exitInterrupted. A second signal restores the default
-	// handler's immediate kill — safe even mid-write, because the store
-	// only ever publishes entries by atomic rename.
+	// handler's immediate kill — safe even mid-write, because a record the
+	// store was appending when the process died lacks its newline, and no
+	// reader ever serves such a record.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
@@ -279,6 +280,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return errorf("%v", err)
 		}
+		defer st.Close()
 		r.Store = st
 	}
 
@@ -427,12 +429,9 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		tot.Lookups, tot.Simulations, tot.CacheHits, 100*hitRate)
 	if r.Store != nil {
 		sm := r.Store.Metrics()
-		entries := "?"
-		if n, err := r.Store.Len(); err == nil {
-			entries = fmt.Sprint(n)
-		}
-		fmt.Fprintf(stderr, "cfdbench: store %s: %d hits, %d misses, %d puts, %d quarantined, %d retries (%s entries on disk)\n",
-			r.Store.Dir(), sm.Hits, sm.Misses, sm.Puts, sm.Quarantines, sm.Retries, entries)
+		keys, _ := r.Store.Len()
+		fmt.Fprintf(stderr, "cfdbench: store %s: %d hits, %d misses, %d puts, %d quarantined, %d retries (%d keys indexed)\n",
+			r.Store.Dir(), sm.Hits, sm.Misses, sm.Puts, sm.Quarantines, sm.Retries, keys)
 	}
 
 	// Finalize the journal before the export document is built, so the

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -92,21 +91,23 @@ func TestStoreResumeConverges(t *testing.T) {
 		t.Fatal("first run simulated nothing")
 	}
 
-	// Sabotage the store: delete one entry, bit-flip another.
-	entries, err := filepath.Glob(storeDir + "/entries/*.json")
-	if err != nil || len(entries) < 3 {
-		t.Fatalf("store has %d entries (err %v); need at least 3", len(entries), err)
+	// Sabotage the store: delete one record from the run's log, bit-flip
+	// another.
+	logs, err := filepath.Glob(storeDir + "/logs/*.log")
+	if err != nil || len(logs) != 1 {
+		t.Fatalf("store has logs %v (err %v); want the first run's one", logs, err)
 	}
-	sort.Strings(entries)
-	if err := os.Remove(entries[0]); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(entries[1])
+	data, err := os.ReadFile(logs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)/2] ^= 0x40
-	if err := os.WriteFile(entries[1], data, 0o644); err != nil {
+	records := bytes.SplitAfter(data, []byte("\n"))
+	if len(records) < 4 { // the last element is what follows the final newline
+		t.Fatalf("store has %d records; need at least 3", len(records)-1)
+	}
+	flipped := records[1]
+	flipped[len(flipped)/2] ^= 0x40
+	if err := os.WriteFile(logs[0], bytes.Join(records[1:], nil), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -116,7 +117,7 @@ func TestStoreResumeConverges(t *testing.T) {
 	}
 
 	// The corrupt entry must have been quarantined, not trusted.
-	q, err := filepath.Glob(storeDir + "/quarantine/*.json")
+	q, err := filepath.Glob(storeDir + "/quarantine/*.log@*[0-9]")
 	if err != nil || len(q) == 0 {
 		t.Errorf("corrupt entry was not quarantined (err %v)", err)
 	}

@@ -123,8 +123,9 @@ type JournalSection struct {
 }
 
 // StoreSection reports the persistent store's counters for this
-// invocation plus the store's end-of-run entry count (which, unlike the
-// hit/miss split, is deterministic for a converged sweep).
+// invocation plus the number of keys the store's handle indexes at the end
+// of the run: those its logs held at Open and those the run stored. Unlike
+// the hit/miss split, that count is deterministic for a converged sweep.
 type StoreSection struct {
 	Dir     string        `json:"dir"`
 	Entries int           `json:"entries"`
@@ -306,11 +307,8 @@ func Build(tool string, r *harness.Runner, exps []Experiment) *Document {
 		doc.Faults = append(doc.Faults, FromFailure(fl))
 	}
 	if r.Store != nil {
-		sec := &StoreSection{Dir: r.Store.Dir(), Metrics: r.Store.Metrics()}
-		if n, err := r.Store.Len(); err == nil {
-			sec.Entries = n
-		}
-		doc.Store = sec
+		n, _ := r.Store.Len()
+		doc.Store = &StoreSection{Dir: r.Store.Dir(), Entries: n, Metrics: r.Store.Metrics()}
 	}
 	if r.Journal != nil && r.Journal.Path() != "" {
 		doc.Journal = &JournalSection{

@@ -2,15 +2,13 @@ package harness
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"path/filepath"
 	"reflect"
 	"runtime/debug"
 	"slices"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -44,6 +42,7 @@ func commitSweep(ctx context.Context, t *testing.T, dir string, specs []RunSpec,
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { st.Close() })
 	st.InjectOpError = inject
 	path := filepath.Join(dir, "sweep.journal")
 	j, err := journal.Open(path, "test")
@@ -99,26 +98,18 @@ func checkCommitJournal(t *testing.T, st *store.Store, events []journal.Event) [
 }
 
 // TestSweepCommitOrdering pins the contract of a sweep's committer: a
-// spec_done says stored:true only for an entry whose write succeeded, so
-// the journal's stored completions are a subset of the store, and
-// sweep_finish counts every spec_done. Every sync of half the specs'
-// entries fails, so their spec_done must say stored:false. CI runs it
-// under -race -count=10.
+// spec_done says stored:true only for an entry whose batch was written and
+// fsynced, so the journal's stored completions are a subset of the store,
+// and sweep_finish counts every spec_done. Every other batch's fsync fails,
+// the first batch's included, so every entry of a failed batch must say
+// stored:false, and a fresh handle must not serve it. CI runs it under
+// -race -count=10.
 func TestSweepCommitOrdering(t *testing.T) {
 	dir := t.TempDir()
 	specs := commitSpecs()
-	r := NewRunner(0.02)
-	failing := map[string]bool{} // entry file names whose syncs fail
-	for i, rs := range specs {
-		if i%2 == 0 {
-			skey, _ := r.storeKey(rs, rs.key())
-			sum := sha256.Sum256([]byte(skey))
-			failing[hex.EncodeToString(sum[:])+".json"] = true
-		}
-	}
+	var syncs atomic.Int64
 	inject := func(op, path string) error {
-		name, _, _ := strings.Cut(filepath.Base(path), ".tmp-")
-		if op == "sync" && failing[name] {
+		if op == "sync" && syncs.Add(1)%2 == 1 {
 			return errors.New("injected EIO")
 		}
 		return nil
@@ -131,15 +122,22 @@ func TestSweepCommitOrdering(t *testing.T) {
 	if len(done) != len(specs) {
 		t.Fatalf("%d spec_done events, want %d", len(done), len(specs))
 	}
+	fresh, err := OpenStore(filepath.Join(dir, "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := 0
 	for _, ev := range done {
-		sum := sha256.Sum256([]byte(ev.StoreKey))
-		wantStored := !failing[hex.EncodeToString(sum[:])+".json"]
-		if ev.Status != "ok" || ev.Stored != wantStored {
-			t.Errorf("%s: status %s, stored %v, want ok and stored %v", ev.Key, ev.Status, ev.Stored, wantStored)
+		_, served, err := fresh.Get(ev.StoreKey)
+		if ev.Status != "ok" || ev.Stored != served || err != nil {
+			t.Errorf("%s: status %s, stored %v; a fresh handle serves it: %v (err %v)", ev.Key, ev.Status, ev.Stored, served, err)
+		}
+		if ev.Stored {
+			stored++
 		}
 	}
-	if m := r.Store.Metrics(); m.Puts != uint64(len(specs)/2) || m.PutFailures != uint64(len(specs)/2) {
-		t.Errorf("store metrics %+v, want %d puts and %d failures", m, len(specs)/2, len(specs)/2)
+	if m := r.Store.Metrics(); stored == len(specs) || m.Puts != uint64(stored) || m.PutFailures != uint64(len(specs)-stored) {
+		t.Errorf("store metrics %+v with %d of %d specs stored, want a failed batch, a put per stored spec and a failure per other", m, stored, len(specs))
 	}
 }
 

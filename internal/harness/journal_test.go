@@ -36,6 +36,7 @@ func sweepJournal(t *testing.T, dir string, jobs int, store bool, specs []RunSpe
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() { st.Close() })
 		r.Store = st
 	}
 	if _, err := r.Sweep(context.Background(), specs); err != nil {
@@ -199,6 +200,7 @@ func TestJournalFaultEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { st.Close() })
 	r := NewRunner(0.02)
 	r.Journal = j
 	r.Store = st

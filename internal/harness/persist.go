@@ -218,16 +218,18 @@ type finished struct {
 // commitQueue bounds a sweep's committer queue: a worker blocks only when
 // this many finished specs wait to be written. The bound caps the results
 // held in memory awaiting the disk, and the completions a SIGKILL can lose
-// on top of those in flight (a resume simulates them again); it sits far
-// above the few entries a batch holds when the committer keeps up, so the
-// workers never wait on the store in steady state.
+// on top of those in flight (a resume simulates them again). Workers do
+// wait when the disk falls that far behind. On the cold grid command
+// (perfbench/grid.json at -scale 0.003 -verify -store, 2 vCPUs) the queue
+// held at most 28–48 specs over nine sweeps; with one file, fsync and
+// rename per entry it filled in seven of nine.
 const commitQueue = 64
 
 // committer is a sweep's write-behind store writer: one goroutine that
 // takes fresh simulations off the workers, writes whatever is queued as
-// one store batch (one directory sync for the lot), and only then emits
-// each spec's spec_done. So a spec_done with stored:true still names an
-// entry whose fsync, rename and directory sync have all returned.
+// one store batch (one append and one fsync for the lot), and only then
+// emits each spec's spec_done. So a spec_done with stored:true still names
+// an entry whose append and fsync have both returned.
 type committer struct {
 	r     *Runner
 	sw    *sweepScope

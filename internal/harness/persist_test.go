@@ -31,6 +31,7 @@ func openTestStore(t *testing.T, dir string) *Runner {
 	if err != nil {
 		t.Fatalf("OpenStore: %v", err)
 	}
+	t.Cleanup(func() { st.Close() })
 	r := NewRunner(0.02)
 	r.Store = st
 	return r
@@ -227,16 +228,16 @@ func TestStoreCorruptEntryResimulates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, _ := filepath.Glob(filepath.Join(dir, "entries", "*.json"))
-	if len(entries) != 1 {
-		t.Fatalf("entries: %v", entries)
+	logs, _ := filepath.Glob(filepath.Join(dir, "logs", "*.log"))
+	if len(logs) != 1 {
+		t.Fatalf("logs: %v", logs)
 	}
-	data, err := os.ReadFile(entries[0])
+	data, err := os.ReadFile(logs[0]) // the spec's one record
 	if err != nil {
 		t.Fatal(err)
 	}
 	data[len(data)/2] ^= 0x40
-	if err := os.WriteFile(entries[0], data, 0o644); err != nil {
+	if err := os.WriteFile(logs[0], data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -266,6 +267,11 @@ func TestStoreCorruptEntryResimulates(t *testing.T) {
 func TestStoreIOFailureDegradesGracefully(t *testing.T) {
 	dir := testStore(t)
 	specs := persistSpecs()[:2]
+	// Store both specs first: a Get reads the disk only for a key the
+	// store holds.
+	if _, err := openTestStore(t, dir).Sweep(context.Background(), specs); err != nil {
+		t.Fatal(err)
+	}
 
 	r := openTestStore(t, dir)
 	r.Store.InjectOpError = func(op, path string) error {

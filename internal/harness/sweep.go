@@ -37,10 +37,10 @@ func (r *Runner) Sweep(ctx context.Context, specs []RunSpec) ([]*Result, error) 
 	}
 	sw := r.beginSweep(len(specs), jobs)
 	defer sw.finish()
-	// With a store, fresh completions go to the sweep's committer, so the
-	// workers never wait on the disk. It drains before sweep_finish (the
-	// deferred calls run last-in first-out) and before Sweep returns, on
-	// cancellation too.
+	// With a store, fresh completions go to the sweep's committer, so a
+	// worker waits on the disk only when the committer's queue is full. It
+	// drains before sweep_finish (the deferred calls run last-in
+	// first-out) and before Sweep returns, on cancellation too.
 	var cm *committer
 	if r.Store != nil {
 		cm = r.startCommitter(sw)

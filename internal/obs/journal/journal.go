@@ -148,7 +148,7 @@ type Event struct {
 	Error    string  `json:"error,omitempty"`
 
 	// Store diagnostics (store_quarantine).
-	Entry  string `json:"entry,omitempty"` // entry file base name
+	Entry  string `json:"entry,omitempty"` // quarantined record's name, <log>@<offset>
 	Reason string `json:"reason,omitempty"`
 
 	// Host telemetry (host_sample).

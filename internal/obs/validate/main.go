@@ -2,7 +2,7 @@
 // whose first line is a journal_open event is a cfd-journal: it gets
 // structural validation (header, schema/version, sequence monotonicity,
 // per-type required fields) plus, with -store, the resume invariant —
-// every completion the journal records as stored must have its entry
+// every completion the journal records as stored must have its record
 // present in the store directory, even when the producing process was
 // SIGKILLed mid-sweep. With -replay it also writes the journal's canonical
 // sorted replay, which is byte-identical across -jobs settings. Any other
@@ -24,10 +24,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"cfd/internal/obs"
 	"cfd/internal/obs/journal"
+	"cfd/internal/store"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -118,9 +118,10 @@ func journalHeader(path string) (bool, error) {
 }
 
 // checkStore verifies the resume invariant: the set of store keys the
-// journal says were persisted is a subset of the entries actually on
-// disk. The harness persists synchronously before journaling spec_done,
-// so this holds even for a journal truncated by SIGKILL.
+// journal says were persisted is a subset of the keys the store serves.
+// The harness journals a spec_done as stored only after its record's
+// append and fsync return, so this holds even for a journal truncated by
+// SIGKILL.
 func checkStore(w io.Writer, events []journal.Event, dir string) error {
 	keys := journal.CompletedKeys(events, true)
 	have, err := storeKeys(dir)
@@ -137,34 +138,23 @@ func checkStore(w io.Writer, events []journal.Event, dir string) error {
 	if missing > 0 {
 		return fmt.Errorf("%d journaled completions missing from store %s", missing, dir)
 	}
-	fmt.Fprintf(w, "  store check: %d stored completions all present in %s (%d entries)\n",
+	fmt.Fprintf(w, "  store check: %d stored completions all present in %s (%d keys)\n",
 		len(keys), dir, len(have))
 	return nil
 }
 
-// storeKeys reads the key preimage out of every entry envelope in the
-// store's entries directory. Only the envelope's key field is decoded —
-// the store's own Get path does the full verification.
+// storeKeys returns the keys the store at dir serves: those of every
+// intact record in its logs, read through the store package without
+// opening a handle, so validating creates and quarantines nothing. The
+// store's own Get path does the full verification.
 func storeKeys(dir string) (map[string]bool, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "entries", "*.json"))
+	list, err := store.Keys(dir)
 	if err != nil {
 		return nil, err
 	}
-	keys := make(map[string]bool, len(paths))
-	for _, p := range paths {
-		data, err := os.ReadFile(p)
-		if err != nil {
-			return nil, err
-		}
-		var env struct {
-			Key string `json:"key"`
-		}
-		if err := json.Unmarshal(data, &env); err != nil {
-			// A torn entry is the store's problem (it will quarantine on
-			// read); it cannot satisfy a journaled completion.
-			continue
-		}
-		keys[env.Key] = true
+	keys := make(map[string]bool, len(list))
+	for _, k := range list {
+		keys[k] = true
 	}
 	return keys, nil
 }

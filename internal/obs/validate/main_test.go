@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +10,7 @@ import (
 
 	"cfd/internal/obs"
 	"cfd/internal/obs/journal"
+	"cfd/internal/store"
 )
 
 // writeJournal writes a one-sweep journal whose single completion is
@@ -50,11 +52,11 @@ func TestValidateDispatch(t *testing.T) {
 	jpath := filepath.Join(dir, "sweep.journal")
 	writeJournal(t, jpath, "k1")
 	storeDir := filepath.Join(dir, "store")
-	if err := os.MkdirAll(filepath.Join(storeDir, "entries"), 0o755); err != nil {
+	st, err := store.Open(storeDir, "test", 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	entry := filepath.Join(storeDir, "entries", "k1.json")
-	if err := os.WriteFile(entry, []byte(`{"key":"k1"}`), 0o644); err != nil {
+	if err := errors.Join(st.Put("k1", []byte(`{}`)), st.Close()); err != nil {
 		t.Fatal(err)
 	}
 	replay := filepath.Join(dir, "replay.jsonl")
@@ -81,7 +83,7 @@ func TestValidateDispatch(t *testing.T) {
 	}
 
 	// A stored completion missing from the store fails the journal.
-	if err := os.Remove(entry); err != nil {
+	if err := os.RemoveAll(filepath.Join(storeDir, "logs")); err != nil {
 		t.Fatal(err)
 	}
 	if code, out, errOut := validate("-store", storeDir, jpath); code != 1 ||

@@ -9,6 +9,7 @@ import (
 	"cfd/internal/config"
 	"cfd/internal/core"
 	"cfd/internal/fault"
+	"cfd/internal/isa"
 	"cfd/internal/mem"
 	"cfd/internal/prog"
 )
@@ -186,5 +187,29 @@ func TestPipelineFaultText(t *testing.T) {
 		if got := f.Error(); got != tc.want {
 			t.Errorf("%s fault text:\n got %s\nwant %s", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestLateCompletionIsInvariantBreach: an event due in a cycle whose
+// completion bucket complete() has already drained would wait a full
+// eventRing for the wheel to come round, so its op would retire 16,384
+// cycles late with a correct result. complete() must report the event as
+// an invariant breach instead. A zero multiply latency, which Validate
+// refuses and so is set behind New's back, schedules exactly such an
+// event, because issue() runs after complete() in every cycle.
+func TestLateCompletionIsInvariantBreach(t *testing.T) {
+	p := prog.NewBuilder().Li(1, 3).Li(2, 5).R(isa.MUL, 3, 1, 2).Halt().MustBuild()
+	c, err := New(testConfig(), p, mem.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.cfg.MulLatency = 0
+	err = c.Run(0)
+	f, ok := fault.As(err)
+	if !ok || f.Kind != fault.InvariantBreach {
+		t.Fatalf("a completion scheduled into a drained bucket gave %v after %d cycles, want an invariant breach", err, c.Stats.Cycles)
+	}
+	if !strings.Contains(f.Error(), "completion due at cycle") {
+		t.Errorf("fault %q does not name the late completion", f.Error())
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"cfd/internal/cache"
 	"cfd/internal/emu"
 	"cfd/internal/energy"
+	"cfd/internal/fault"
 	"cfd/internal/isa"
 )
 
@@ -308,12 +309,19 @@ func (c *Core) sqLookup(seq, addr uint64, size int) (val uint64, fwd, wait bool)
 // complete drains this cycle's completion events: results become visible to
 // dependents, branches resolve (initiating recovery on mispredictions), and
 // pushes write their queue entries — including the late-push check against
-// speculative pops (§III-C2).
-func (c *Core) complete() {
+// speculative pops (§III-C2). An event due in an earlier cycle was
+// scheduled into a bucket complete() had already drained, and has waited a
+// full turn of the wheel: that is an invariant breach, not a slow op.
+func (c *Core) complete() error {
 	for n := c.events.take(c.now % eventRing); n != 0; {
 		ev := c.events.nodes[n]
 		c.cycCompleted++
-		if ev.at > c.now {
+		if ev.at != c.now {
+			if ev.at < c.now {
+				return fault.New(fault.InvariantBreach, c.snapshot(),
+					"completion due at cycle %d drained %d cycles late: it was scheduled into an already-drained bucket",
+					ev.at, c.now-ev.at)
+			}
 			// Parked long-latency event: move it to its own bucket (now
 			// within ring range) or park it again.
 			c.events.link(c.bucketFor(ev.at), n)
@@ -345,6 +353,7 @@ func (c *Core) complete() {
 			c.resolveBranch(u, ev.robPos)
 		}
 	}
+	return nil
 }
 
 const maxTripCount = 1<<16 - 1

@@ -574,7 +574,9 @@ func (c *Core) Cycle() error {
 	if err := c.retire(); err != nil {
 		return err
 	}
-	c.complete()
+	if err := c.complete(); err != nil {
+		return err
+	}
 	c.issue()
 	if err := c.rename(); err != nil {
 		return err

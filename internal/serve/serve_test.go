@@ -138,6 +138,7 @@ func TestServerEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { st.Close() })
 	r.Store = st
 	spec := harness.RunSpec{Workload: "bzip2like", Variant: workload.Base, Config: config.SandyBridge()}
 	if _, err := r.Run(spec); err != nil {
