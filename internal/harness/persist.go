@@ -220,9 +220,8 @@ type finished struct {
 // held in memory awaiting the disk, and the completions a SIGKILL can lose
 // on top of those in flight (a resume simulates them again). Workers do
 // wait when the disk falls that far behind. On the cold grid command
-// (perfbench/grid.json at -scale 0.003 -verify -store, 2 vCPUs) the queue
-// held at most 28–48 specs over nine sweeps; with one file, fsync and
-// rename per entry it filled in seven of nine.
+// (perfbench/grid.json at -scale 0.003 -verify -store, 2 vCPUs), at most
+// 32–50 finished specs waited on the committer at once over six sweeps.
 const commitQueue = 64
 
 // committer is a sweep's write-behind store writer: one goroutine that
