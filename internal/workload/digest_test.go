@@ -12,7 +12,7 @@ import (
 	"cfd/internal/emu"
 )
 
-var updateDigests = flag.Bool("update", false, "rewrite testdata/digests.json from the current builders")
+var updateDigests = flag.Bool("update", false, "rewrite the goldens under testdata/ (digests.json, programs.json) from the current builders")
 
 const digestFile = "testdata/digests.json"
 
