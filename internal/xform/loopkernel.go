@@ -92,10 +92,6 @@ func (k *LoopKernel) blocks() map[string][]isa.Inst {
 	}
 }
 
-func (k *LoopKernel) inductionRegs() []isa.Reg {
-	return (&Kernel{Step: k.Step}).inductionRegs()
-}
-
 // Validate checks the kernel's structural requirements.
 func (k *LoopKernel) Validate() error {
 	for name, block := range k.blocks() {
@@ -120,9 +116,9 @@ func (k *LoopKernel) Validate() error {
 	if (blockWrites(k.InnerSlice) | blockWrites(k.CD) | blockWrites(k.Step)).has(k.Trip) {
 		return fmt.Errorf("xform %s: trip register %s must survive the inner loop (only TripSlice may write it)", k.Name, k.Trip)
 	}
-	if len(k.Scratch) < 2+len(k.inductionRegs()) {
+	if len(k.Scratch) < 2+len(inductionRegs(k.Step)) {
 		return fmt.Errorf("xform %s: need %d scratch registers, have %d",
-			k.Name, 2+len(k.inductionRegs()), len(k.Scratch))
+			k.Name, 2+len(inductionRegs(k.Step)), len(k.Scratch))
 	}
 	var used regSet
 	for _, block := range k.blocks() {
@@ -239,18 +235,6 @@ func (k *LoopKernel) Base() (*prog.Program, error) {
 	return b.Build()
 }
 
-// emitTripGen emits one strip-mined trip-count generation loop: TripSlice,
-// PushTQ, Step, over chunkReg iterations counted in tmpReg.
-func (k *LoopKernel) emitTripGen(b *prog.Builder, label string, chunkReg, tmpReg isa.Reg) {
-	b.Mov(tmpReg, chunkReg)
-	b.Label(label)
-	emitBlock(b, k.TripSlice)
-	b.PushTQ(k.Trip)
-	emitBlock(b, k.Step)
-	b.I(isa.ADDI, tmpReg, tmpReg, -1)
-	b.Branch(isa.BNE, tmpReg, isa.Zero, label)
-}
-
 // CFDTQ emits trip-count-queue decoupling (§IV-C): loop 1 pushes each
 // outer iteration's trip count; loop 2 runs the inner loop TCR-driven, so
 // the data-dependent loop-branch never mispredicts. Trip counts wider than
@@ -263,62 +247,56 @@ func (k *LoopKernel) CFDTQ(p Params) (*prog.Program, error) {
 	if err := k.requireSeparable(); err != nil {
 		return nil, err
 	}
-	chunkSize := min(p.tqChunk(), int64(p.TQSize))
-	inductions := k.inductionRegs()
-	chunkReg, tmpReg := k.Scratch[0], k.Scratch[1]
-	shadows := k.Scratch[2 : 2+len(inductions)]
 	overflowPossible := k.MaxTrip > core.MaxTripCount
 
 	b := prog.NewBuilder()
 	emitBlock(b, k.Init)
-	b.Label("chunk")
-	emitChunkN(b, chunkReg, tmpReg, k.Counter, chunkSize)
-	emitSnapshot(b, shadows, inductions)
-	k.emitTripGen(b, "gen", chunkReg, tmpReg)
-	emitRestore(b, shadows, inductions)
-	// Loop 2: TCR-driven inner looping.
-	b.Mov(tmpReg, chunkReg)
-	b.Label("outer2")
-	if overflowPossible {
-		b.PopTQOV("ovf")
-	} else {
-		b.PopTQ()
-	}
-	b.Li(k.J, 0)
-	b.Jump("test")
-	b.Label("body")
-	emitBlock(b, k.InnerSlice)
-	k.noteIf(b, "")
-	b.Branch(isa.BEQ, k.Pred, isa.Zero, "noif")
-	emitBlock(b, k.CD)
-	b.Label("noif")
-	b.I(isa.ADDI, k.J, k.J, 1)
-	b.Label("test")
-	k.noteLoop(b, " (TCR)")
-	b.BranchTCR("body")
-	if overflowPossible {
-		b.Jump("join")
-		// Overflow path: the TQ entry carries no count; recompute it in
-		// software and run the branch-driven inner loop.
-		b.Label("ovf")
+	s := newStrip(b, k.Scratch, k.Counter, k.Step)
+	s.open(min(p.tqChunk(), int64(p.TQSize)))
+	s.loop("gen", func() {
 		emitBlock(b, k.TripSlice)
+		b.PushTQ(k.Trip)
+	})
+	s.rewind()
+	// Loop 2: TCR-driven inner looping.
+	s.loop("outer2", func() {
+		if overflowPossible {
+			b.PopTQOV("ovf")
+		} else {
+			b.PopTQ()
+		}
 		b.Li(k.J, 0)
-		b.Label("otest")
-		k.noteLoop(b, " (overflow)")
-		b.Branch(isa.BGE, k.J, k.Trip, "join")
+		b.Jump("test")
+		b.Label("body")
 		emitBlock(b, k.InnerSlice)
-		b.Branch(isa.BEQ, k.Pred, isa.Zero, "onoif")
+		k.noteIf(b, "")
+		b.Branch(isa.BEQ, k.Pred, isa.Zero, "noif")
 		emitBlock(b, k.CD)
-		b.Label("onoif")
+		b.Label("noif")
 		b.I(isa.ADDI, k.J, k.J, 1)
-		b.Jump("otest")
-		b.Label("join")
-	}
-	emitBlock(b, k.Step)
-	b.I(isa.ADDI, tmpReg, tmpReg, -1)
-	b.Branch(isa.BNE, tmpReg, isa.Zero, "outer2")
-	b.R(isa.SUB, k.Counter, k.Counter, chunkReg)
-	b.Branch(isa.BNE, k.Counter, isa.Zero, "chunk")
+		b.Label("test")
+		k.noteLoop(b, " (TCR)")
+		b.BranchTCR("body")
+		if overflowPossible {
+			b.Jump("join")
+			// Overflow path: the TQ entry carries no count; recompute
+			// it in software and run the branch-driven inner loop.
+			b.Label("ovf")
+			emitBlock(b, k.TripSlice)
+			b.Li(k.J, 0)
+			b.Label("otest")
+			k.noteLoop(b, " (overflow)")
+			b.Branch(isa.BGE, k.J, k.Trip, "join")
+			emitBlock(b, k.InnerSlice)
+			b.Branch(isa.BEQ, k.Pred, isa.Zero, "onoif")
+			emitBlock(b, k.CD)
+			b.Label("onoif")
+			b.I(isa.ADDI, k.J, k.J, 1)
+			b.Jump("otest")
+			b.Label("join")
+		}
+	})
+	s.close()
 	k.finish(b)
 	return b.Build()
 }
@@ -342,55 +320,43 @@ func (k *LoopKernel) CFDBQ(p Params) (*prog.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	inductions := k.inductionRegs()
-	chunkReg, tmpReg := k.Scratch[0], k.Scratch[1]
-	shadows := k.Scratch[2 : 2+len(inductions)]
-
 	b := prog.NewBuilder()
 	emitBlock(b, k.Init)
-	b.Label("chunk")
-	emitChunkN(b, chunkReg, tmpReg, k.Counter, chunkSize)
-	emitSnapshot(b, shadows, inductions)
+	s := newStrip(b, k.Scratch, k.Counter, k.Step)
+	s.open(chunkSize)
 	// Loop 1: predicate generation across the inner iterations.
-	b.Mov(tmpReg, chunkReg)
-	b.Label("gen")
-	emitBlock(b, k.TripSlice)
-	b.Li(k.J, 0)
-	b.Label("gentest")
-	k.noteLoop(b, " (loop-branch)")
-	b.Branch(isa.BGE, k.J, k.Trip, "gendone")
-	emitBlock(b, k.InnerSlice)
-	b.PushBQ(k.Pred)
-	b.I(isa.ADDI, k.J, k.J, 1)
-	b.Jump("gentest")
-	b.Label("gendone")
-	emitBlock(b, k.Step)
-	b.I(isa.ADDI, tmpReg, tmpReg, -1)
-	b.Branch(isa.BNE, tmpReg, isa.Zero, "gen")
-	emitRestore(b, shadows, inductions)
+	s.loop("gen", func() {
+		emitBlock(b, k.TripSlice)
+		b.Li(k.J, 0)
+		b.Label("gentest")
+		k.noteLoop(b, " (loop-branch)")
+		b.Branch(isa.BGE, k.J, k.Trip, "gendone")
+		emitBlock(b, k.InnerSlice)
+		b.PushBQ(k.Pred)
+		b.I(isa.ADDI, k.J, k.J, 1)
+		b.Jump("gentest")
+		b.Label("gendone")
+	})
+	s.rewind()
 	// Loop 2: consume; the trip count is re-derived by TripSlice.
-	b.Mov(tmpReg, chunkReg)
-	b.Label("outer2")
-	emitBlock(b, k.TripSlice)
-	b.Li(k.J, 0)
-	b.Jump("test")
-	b.Label("body")
-	k.noteIf(b, " (decoupled)")
-	b.BranchBQ("doif")
-	b.Jump("noif")
-	b.Label("doif")
-	emitBlock(b, re)
-	emitBlock(b, k.CD)
-	b.Label("noif")
-	b.I(isa.ADDI, k.J, k.J, 1)
-	b.Label("test")
-	k.noteLoop(b, " (loop-branch 2)")
-	b.Branch(isa.BLT, k.J, k.Trip, "body")
-	emitBlock(b, k.Step)
-	b.I(isa.ADDI, tmpReg, tmpReg, -1)
-	b.Branch(isa.BNE, tmpReg, isa.Zero, "outer2")
-	b.R(isa.SUB, k.Counter, k.Counter, chunkReg)
-	b.Branch(isa.BNE, k.Counter, isa.Zero, "chunk")
+	s.loop("outer2", func() {
+		emitBlock(b, k.TripSlice)
+		b.Li(k.J, 0)
+		b.Jump("test")
+		b.Label("body")
+		k.noteIf(b, " (decoupled)")
+		b.BranchBQ("doif")
+		b.Jump("noif")
+		b.Label("doif")
+		emitBlock(b, re)
+		emitBlock(b, k.CD)
+		b.Label("noif")
+		b.I(isa.ADDI, k.J, k.J, 1)
+		b.Label("test")
+		k.noteLoop(b, " (loop-branch 2)")
+		b.Branch(isa.BLT, k.J, k.Trip, "body")
+	})
+	s.close()
 	k.finish(b)
 	return b.Build()
 }
@@ -420,62 +386,54 @@ func (k *LoopKernel) CFDBQTQ(p Params) (*prog.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	inductions := k.inductionRegs()
-	chunkReg, tmpReg := k.Scratch[0], k.Scratch[1]
-	shadows := k.Scratch[2 : 2+len(inductions)]
-
 	b := prog.NewBuilder()
 	emitBlock(b, k.Init)
-	b.Label("chunk")
-	emitChunkN(b, chunkReg, tmpReg, k.Counter, chunkSize)
-	emitSnapshot(b, shadows, inductions)
+	s := newStrip(b, k.Scratch, k.Counter, k.Step)
+	s.open(chunkSize)
+	pushTrips := func() {
+		emitBlock(b, k.TripSlice)
+		b.PushTQ(k.Trip)
+	}
 	// Loop 1: trip counts for the predicate-generation loop.
-	k.emitTripGen(b, "gen", chunkReg, tmpReg)
-	emitRestore(b, shadows, inductions)
+	s.loop("gen", pushTrips)
+	s.rewind()
 	// Loop 2: TCR-driven predicate generation.
-	b.Mov(tmpReg, chunkReg)
-	b.Label("mid")
-	b.PopTQ()
-	b.Li(k.J, 0)
-	b.Jump("midtest")
-	b.Label("midbody")
-	emitBlock(b, k.InnerSlice)
-	b.PushBQ(k.Pred)
-	b.I(isa.ADDI, k.J, k.J, 1)
-	b.Label("midtest")
-	k.noteLoop(b, " (TCR gen)")
-	b.BranchTCR("midbody")
-	emitBlock(b, k.Step)
-	b.I(isa.ADDI, tmpReg, tmpReg, -1)
-	b.Branch(isa.BNE, tmpReg, isa.Zero, "mid")
-	emitRestore(b, shadows, inductions)
+	s.loop("mid", func() {
+		b.PopTQ()
+		b.Li(k.J, 0)
+		b.Jump("midtest")
+		b.Label("midbody")
+		emitBlock(b, k.InnerSlice)
+		b.PushBQ(k.Pred)
+		b.I(isa.ADDI, k.J, k.J, 1)
+		b.Label("midtest")
+		k.noteLoop(b, " (TCR gen)")
+		b.BranchTCR("midbody")
+	})
+	s.rewind()
 	// Re-push the trip counts for the consume loop (the reloads hit L1:
 	// the chunk's lines are resident).
-	k.emitTripGen(b, "regen", chunkReg, tmpReg)
-	emitRestore(b, shadows, inductions)
+	s.loop("regen", pushTrips)
+	s.rewind()
 	// Loop 3: TCR-driven consumption.
-	b.Mov(tmpReg, chunkReg)
-	b.Label("fin")
-	b.PopTQ()
-	b.Li(k.J, 0)
-	b.Jump("fintest")
-	b.Label("finbody")
-	k.noteIf(b, " (decoupled)")
-	b.BranchBQ("findo")
-	b.Jump("finno")
-	b.Label("findo")
-	emitBlock(b, re)
-	emitBlock(b, k.CD)
-	b.Label("finno")
-	b.I(isa.ADDI, k.J, k.J, 1)
-	b.Label("fintest")
-	k.noteLoop(b, " (TCR)")
-	b.BranchTCR("finbody")
-	emitBlock(b, k.Step)
-	b.I(isa.ADDI, tmpReg, tmpReg, -1)
-	b.Branch(isa.BNE, tmpReg, isa.Zero, "fin")
-	b.R(isa.SUB, k.Counter, k.Counter, chunkReg)
-	b.Branch(isa.BNE, k.Counter, isa.Zero, "chunk")
+	s.loop("fin", func() {
+		b.PopTQ()
+		b.Li(k.J, 0)
+		b.Jump("fintest")
+		b.Label("finbody")
+		k.noteIf(b, " (decoupled)")
+		b.BranchBQ("findo")
+		b.Jump("finno")
+		b.Label("findo")
+		emitBlock(b, re)
+		emitBlock(b, k.CD)
+		b.Label("finno")
+		b.I(isa.ADDI, k.J, k.J, 1)
+		b.Label("fintest")
+		k.noteLoop(b, " (TCR)")
+		b.BranchTCR("finbody")
+	})
+	s.close()
 	k.finish(b)
 	return b.Build()
 }

@@ -155,7 +155,7 @@ func (k *NestedKernel) Validate() error {
 	if err := straightLine(k.Update); err != nil {
 		return fmt.Errorf("xform %s: Update: %w", k.Name, err)
 	}
-	inductions := fl.inductionRegs()
+	inductions := inductionRegs(k.Step)
 	need := 2 + len(inductions)
 	if k.freshOuter() {
 		need++ // combined predicate
@@ -315,11 +315,9 @@ func (k *NestedKernel) emitCFD(p Params, withPrefetch bool) (*prog.Program, erro
 	if err := k.requireSeparable(); err != nil {
 		return nil, err
 	}
-	fl := k.flat()
-	inductions := fl.inductionRegs()
-	chunkReg, tmpReg := k.Scratch[0], k.Scratch[1]
-	shadows := k.Scratch[2 : 2+len(inductions)]
-	next := 2 + len(inductions)
+	b := prog.NewBuilder()
+	s := newStrip(b, k.Scratch, k.Counter, k.Step)
+	next := 2 + len(s.shadows)
 	var comb, sel isa.Reg
 	if k.freshOuter() {
 		comb = k.Scratch[next]
@@ -332,7 +330,7 @@ func (k *NestedKernel) emitCFD(p Params, withPrefetch bool) (*prog.Program, erro
 	// Values the inner slice needs from the outer slice (recomputed in
 	// loop 2 when the outer slice is not re-run whole) and values the CD
 	// and exit check need from either slice (recomputed in loop 3).
-	flatSlice := fl.Slice
+	flatSlice := k.flat().Slice
 	var reInner []isa.Inst
 	if !k.freshOuter() {
 		innerNeeds := upwardExposed(k.InnerSlice) & blockWrites(k.OuterSlice)
@@ -344,29 +342,16 @@ func (k *NestedKernel) emitCFD(p Params, withPrefetch bool) (*prog.Program, erro
 		return nil, fmt.Errorf("xform %s: CD consumes slice-internal state that cannot be recomputed", k.Name)
 	}
 
-	b := prog.NewBuilder()
 	emitBlock(b, k.Init)
-	b.Label("chunk")
-	emitChunkN(b, chunkReg, tmpReg, k.Counter, p.dualStreamChunk())
-	emitSnapshot(b, shadows, inductions)
+	s.open(p.dualStreamChunk())
 	if withPrefetch {
-		pf := prefetchBody(flatSlice)
-		b.Mov(tmpReg, chunkReg)
-		b.Label("pf")
-		emitBlock(b, pf)
-		emitBlock(b, k.Step)
-		b.I(isa.ADDI, tmpReg, tmpReg, -1)
-		b.Branch(isa.BNE, tmpReg, isa.Zero, "pf")
-		emitRestore(b, shadows, inductions)
+		s.prefetch(flatSlice)
 	}
 	// Loop 1: outer predicates (stream 1).
-	b.Mov(tmpReg, chunkReg)
-	b.Label("gen")
-	emitBlock(b, k.OuterSlice)
-	b.PushBQ(k.OuterPred)
-	emitBlock(b, k.Step)
-	b.I(isa.ADDI, tmpReg, tmpReg, -1)
-	b.Branch(isa.BNE, tmpReg, isa.Zero, "gen")
+	s.loop("gen", func() {
+		emitBlock(b, k.OuterSlice)
+		b.PushBQ(k.OuterPred)
+	})
 	if k.hasExit() {
 		// Bound stream 1 so a mid-chunk exit can discard leftovers in
 		// bulk; clear the exit predicate so a chunk with no taken
@@ -374,51 +359,49 @@ func (k *NestedKernel) emitCFD(p Params, withPrefetch bool) (*prog.Program, erro
 		b.MarkBQ()
 		b.Li(k.ExitPred, 0)
 	}
-	emitRestore(b, shadows, inductions)
+	s.rewind()
 	// Loop 2: guarded inner evaluation (stream 2). The stale outer
 	// predicate from stream 1 is a sound guard: with a monotone update
 	// stale-false implies fresh-false, so only the taken path needs the
 	// fresh re-evaluation.
-	b.Mov(tmpReg, chunkReg)
-	b.Label("mid")
-	if k.OuterNote != "" {
-		b.Note(k.OuterNote+" (decoupled guard)", prog.SeparablePartial)
-	}
-	b.BranchBQ("midwork")
-	b.PushBQ(isa.Zero)
-	b.Jump("midskip")
-	b.Label("midwork")
-	if k.freshOuter() {
-		emitBlock(b, k.OuterSlice)
-		emitBlock(b, k.InnerSlice)
-		b.R(isa.AND, comb, k.OuterPred, k.InnerPred)
-		// The update commits under the combined predicate, if-converted:
-		// stores become load/select/store, register writes are dead
-		// values on the false path (Validate vetted that).
-		for _, in := range k.Update {
-			if in.Op.IsStore() {
-				b.Load(loadFor(in.Op), sel, in.Rs1, in.Imm)
-				b.R(isa.CMOVNZ, sel, in.Rs2, comb)
-				b.Store(in.Op, sel, in.Rs1, in.Imm)
-				continue
+	s.loop("mid", func() {
+		if k.OuterNote != "" {
+			b.Note(k.OuterNote+" (decoupled guard)", prog.SeparablePartial)
+		}
+		b.BranchBQ("midwork")
+		b.PushBQ(isa.Zero)
+		b.Jump("midskip")
+		b.Label("midwork")
+		if k.freshOuter() {
+			emitBlock(b, k.OuterSlice)
+			emitBlock(b, k.InnerSlice)
+			b.R(isa.AND, comb, k.OuterPred, k.InnerPred)
+			// The update commits under the combined predicate,
+			// if-converted: stores become load/select/store, register
+			// writes are dead values on the false path (Validate vetted
+			// that).
+			for _, in := range k.Update {
+				if in.Op.IsStore() {
+					b.Load(loadFor(in.Op), sel, in.Rs1, in.Imm)
+					b.R(isa.CMOVNZ, sel, in.Rs2, comb)
+					b.Store(in.Op, sel, in.Rs1, in.Imm)
+					continue
+				}
+				b.Raw(in)
 			}
-			b.Raw(in)
+			b.PushBQ(comb)
+			if k.hasExit() {
+				emitBlock(b, k.Exit)
+				b.R(isa.AND, k.ExitPred, k.ExitPred, comb)
+				b.Branch(isa.BNE, k.ExitPred, isa.Zero, "midbreak")
+			}
+		} else {
+			emitBlock(b, reInner)
+			emitBlock(b, k.InnerSlice)
+			b.PushBQ(k.InnerPred)
 		}
-		b.PushBQ(comb)
-		if k.hasExit() {
-			emitBlock(b, k.Exit)
-			b.R(isa.AND, k.ExitPred, k.ExitPred, comb)
-			b.Branch(isa.BNE, k.ExitPred, isa.Zero, "midbreak")
-		}
-	} else {
-		emitBlock(b, reInner)
-		emitBlock(b, k.InnerSlice)
-		b.PushBQ(k.InnerPred)
-	}
-	b.Label("midskip")
-	emitBlock(b, k.Step)
-	b.I(isa.ADDI, tmpReg, tmpReg, -1)
-	b.Branch(isa.BNE, tmpReg, isa.Zero, "mid")
+		b.Label("midskip")
+	})
 	if k.hasExit() {
 		// Normal completion falls through: Forward consumes stream 1's
 		// mark with nothing left; a mid-chunk exit discards the leftover
@@ -427,33 +410,29 @@ func (k *NestedKernel) emitCFD(p Params, withPrefetch bool) (*prog.Program, erro
 		b.ForwardBQ()
 		b.MarkBQ()
 	}
-	emitRestore(b, shadows, inductions)
+	s.rewind()
 	// Loop 3: the control-dependent region under the combined predicate.
-	b.Mov(tmpReg, chunkReg)
-	b.Label("fin")
-	if k.OuterNote != "" {
-		b.Note("combined (decoupled)", prog.SeparableTotal)
-	}
-	b.BranchBQ("finwork")
-	b.Jump("finskip")
-	b.Label("finwork")
-	emitBlock(b, reCD)
-	emitBlock(b, k.CD)
-	if k.hasExit() {
-		emitBlock(b, k.Exit)
-		b.Branch(isa.BNE, k.ExitPred, isa.Zero, "finbreak")
-	}
-	b.Label("finskip")
-	emitBlock(b, k.Step)
-	b.I(isa.ADDI, tmpReg, tmpReg, -1)
-	b.Branch(isa.BNE, tmpReg, isa.Zero, "fin")
+	s.loop("fin", func() {
+		if k.OuterNote != "" {
+			b.Note("combined (decoupled)", prog.SeparableTotal)
+		}
+		b.BranchBQ("finwork")
+		b.Jump("finskip")
+		b.Label("finwork")
+		emitBlock(b, reCD)
+		emitBlock(b, k.CD)
+		if k.hasExit() {
+			emitBlock(b, k.Exit)
+			b.Branch(isa.BNE, k.ExitPred, isa.Zero, "finbreak")
+		}
+		b.Label("finskip")
+	})
 	if k.hasExit() {
 		b.Label("finbreak")
 		b.ForwardBQ()
 		b.Branch(isa.BNE, k.ExitPred, isa.Zero, "done")
 	}
-	b.R(isa.SUB, k.Counter, k.Counter, chunkReg)
-	b.Branch(isa.BNE, k.Counter, isa.Zero, "chunk")
+	s.close()
 	k.finish(b)
 	return b.Build()
 }
@@ -468,28 +447,14 @@ func (k *NestedKernel) DFD(p Params) (*prog.Program, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	fl := k.flat()
-	inductions := fl.inductionRegs()
-	chunkReg, tmpReg := k.Scratch[0], k.Scratch[1]
-	shadows := k.Scratch[2 : 2+len(inductions)]
-	pf := prefetchBody(fl.Slice)
-
 	b := prog.NewBuilder()
 	emitBlock(b, k.Init)
-	b.Label("chunk")
-	emitChunkN(b, chunkReg, tmpReg, k.Counter, p.bqChunk())
-	emitSnapshot(b, shadows, inductions)
-	b.Mov(tmpReg, chunkReg)
-	b.Label("pf")
-	emitBlock(b, pf)
-	emitBlock(b, k.Step)
-	b.I(isa.ADDI, tmpReg, tmpReg, -1)
-	b.Branch(isa.BNE, tmpReg, isa.Zero, "pf")
-	emitRestore(b, shadows, inductions)
-	b.Mov(tmpReg, chunkReg)
-	k.emitBaseLoop(b, tmpReg, "w", "done")
-	b.R(isa.SUB, k.Counter, k.Counter, chunkReg)
-	b.Branch(isa.BNE, k.Counter, isa.Zero, "chunk")
+	s := newStrip(b, k.Scratch, k.Counter, k.Step)
+	s.open(p.bqChunk())
+	s.prefetch(k.flat().Slice)
+	b.Mov(s.count, s.n)
+	k.emitBaseLoop(b, s.count, "w", "done")
+	s.close()
 	k.finish(b)
 	return b.Build()
 }

@@ -261,9 +261,9 @@ func (k *Kernel) Validate() error {
 			return fmt.Errorf("xform %s: exit predicate %s must be written only by the Exit block", k.Name, k.ExitPred)
 		}
 	}
-	if len(k.Scratch) < 2+len(k.inductionRegs()) {
+	if len(k.Scratch) < 2+len(inductionRegs(k.Step)) {
 		return fmt.Errorf("xform %s: need %d scratch registers, have %d",
-			k.Name, 2+len(k.inductionRegs()), len(k.Scratch))
+			k.Name, 2+len(inductionRegs(k.Step)), len(k.Scratch))
 	}
 	var used regSet
 	for _, block := range k.blocks() {
@@ -286,16 +286,15 @@ func (k *Kernel) Validate() error {
 	return nil
 }
 
-// inductionRegs returns Step's written registers, in first-write order.
-func (k *Kernel) inductionRegs() []isa.Reg {
+// inductionRegs returns the registers a Step block writes, in first-write
+// order.
+func inductionRegs(step []isa.Inst) []isa.Reg {
 	var seen regSet
 	var out []isa.Reg
-	for _, in := range k.Step {
-		for r := isa.Reg(1); r < isa.NumRegs; r++ {
-			if writes(in).has(r) && !seen.has(r) {
-				seen.add(r)
-				out = append(out, r)
-			}
+	for _, in := range step {
+		if writes(in) != 0 && !seen.has(in.Rd) {
+			seen.add(in.Rd)
+			out = append(out, in.Rd)
 		}
 	}
 	return out
@@ -448,23 +447,71 @@ func emitBlock(b *prog.Builder, block []isa.Inst) {
 	}
 }
 
-// emitChunkN emits chunkReg = min(size, Counter) using tmpReg.
-func emitChunkN(b *prog.Builder, chunkReg, tmpReg, counter isa.Reg, size int64) {
-	b.Li(chunkReg, size)
-	b.R(isa.SLT, tmpReg, counter, chunkReg)
-	b.R(isa.CMOVNZ, chunkReg, counter, tmpReg)
+// strip is the strip-mining frame of a decoupled loop (§III-B): the loop
+// runs in chunks no larger than a queue holds, and each of the chunk's
+// decoupled loops walks the same iterations, rewound to the inductions
+// the chunk header snapshotted. It owns the first scratch registers: the
+// chunk size n, the loop count, and one shadow per induction register.
+type strip struct {
+	b          *prog.Builder
+	n, count   isa.Reg
+	counter    isa.Reg // the kernel's trip count
+	step       []isa.Inst
+	inductions []isa.Reg
+	shadows    []isa.Reg
 }
 
-func emitSnapshot(b *prog.Builder, shadows, inductions []isa.Reg) {
-	for i, r := range inductions {
-		b.Mov(shadows[i], r)
+func newStrip(b *prog.Builder, scratch []isa.Reg, counter isa.Reg, step []isa.Inst) *strip {
+	inductions := inductionRegs(step)
+	return &strip{b: b, n: scratch[0], count: scratch[1], counter: counter, step: step,
+		inductions: inductions, shadows: scratch[2 : 2+len(inductions)]}
+}
+
+// open emits the chunk header: n = min(size, counter), then the snapshot.
+func (s *strip) open(size int64) {
+	s.b.Label("chunk")
+	s.b.Li(s.n, size)
+	s.b.R(isa.SLT, s.count, s.counter, s.n)
+	s.b.R(isa.CMOVNZ, s.n, s.counter, s.count)
+	s.snapshot()
+}
+
+// snapshot copies the inductions to their shadows, and rewind copies them
+// back.
+func (s *strip) snapshot() {
+	for i, r := range s.inductions {
+		s.b.Mov(s.shadows[i], r)
 	}
 }
 
-func emitRestore(b *prog.Builder, shadows, inductions []isa.Reg) {
-	for i, r := range inductions {
-		b.Mov(r, shadows[i])
+func (s *strip) rewind() {
+	for i, r := range s.inductions {
+		s.b.Mov(r, s.shadows[i])
 	}
+}
+
+// loop emits one walk over the chunk: body, then Step and the countdown.
+func (s *strip) loop(label string, body func()) {
+	s.b.Mov(s.count, s.n)
+	s.b.Label(label)
+	body()
+	emitBlock(s.b, s.step)
+	s.b.I(isa.ADDI, s.count, s.count, -1)
+	s.b.Branch(isa.BNE, s.count, isa.Zero, label)
+}
+
+// prefetch emits the DFD prefetch walk over the chunk (§V, Fig 26), then
+// rewinds.
+func (s *strip) prefetch(slice []isa.Inst) {
+	pf := prefetchBody(slice)
+	s.loop("pf", func() { emitBlock(s.b, pf) })
+	s.rewind()
+}
+
+// close emits the chunk back-edge.
+func (s *strip) close() {
+	s.b.R(isa.SUB, s.counter, s.counter, s.n)
+	s.b.Branch(isa.BNE, s.counter, isa.Zero, "chunk")
 }
 
 // passOpen emits the pass-loop label, and passClose the pass back-edge;
@@ -504,10 +551,10 @@ func (k *Kernel) noteExit(b *prog.Builder) {
 	}
 }
 
-// emitBaseLoop emits the untransformed loop body over Counter iterations,
-// branching to exitLabel on early exit. Label names are prefixed so the
-// loop can be instantiated more than once in a program.
-func (k *Kernel) emitBaseLoop(b *prog.Builder, prefix, exitLabel string, noteLoop bool) {
+// emitBaseLoop emits the untransformed loop body over the counter
+// register, branching to exitLabel on early exit. Label names are prefixed
+// so the loop can be instantiated more than once in a program.
+func (k *Kernel) emitBaseLoop(b *prog.Builder, counter isa.Reg, prefix, exitLabel string, noteLoop bool) {
 	b.Label(prefix + "loop")
 	emitBlock(b, k.Slice)
 	k.noteBranch(b, "")
@@ -520,11 +567,11 @@ func (k *Kernel) emitBaseLoop(b *prog.Builder, prefix, exitLabel string, noteLoo
 	}
 	b.Label(prefix + "skip")
 	emitBlock(b, k.Step)
-	b.I(isa.ADDI, k.Counter, k.Counter, -1)
+	b.I(isa.ADDI, counter, counter, -1)
 	if noteLoop && k.LoopNote != "" {
 		b.Note(k.LoopNote, prog.EasyToPredict)
 	}
-	b.Branch(isa.BNE, k.Counter, isa.Zero, prefix+"loop")
+	b.Branch(isa.BNE, counter, isa.Zero, prefix+"loop")
 }
 
 // Base emits the untransformed loop.
@@ -535,7 +582,7 @@ func (k *Kernel) Base() (*prog.Program, error) {
 	b := prog.NewBuilder()
 	emitBlock(b, k.Init)
 	k.passOpen(b)
-	k.emitBaseLoop(b, "", "done", true)
+	k.emitBaseLoop(b, k.Counter, "", "done", true)
 	k.passClose(b)
 	k.finish(b)
 	return b.Build()
@@ -572,10 +619,6 @@ func (k *Kernel) emitCFD(p Params, useVQ, withPrefetch bool) (*prog.Program, err
 	if useVQ && k.hasExit() {
 		return nil, fmt.Errorf("xform %s: CFD+ cannot be applied to an early-exit kernel: the VQ has no mark/forward to discard leftover values; use plain CFD", k.Name)
 	}
-	inductions := k.inductionRegs()
-	chunkReg, tmpReg := k.Scratch[0], k.Scratch[1]
-	shadows := k.Scratch[2 : 2+len(inductions)]
-
 	comm := k.communicated()
 	var recompute []isa.Inst
 	if !useVQ {
@@ -592,19 +635,10 @@ func (k *Kernel) emitCFD(p Params, useVQ, withPrefetch bool) (*prog.Program, err
 	b := prog.NewBuilder()
 	emitBlock(b, k.Init)
 	k.passOpen(b)
-	b.Label("chunk")
-	emitChunkN(b, chunkReg, tmpReg, k.Counter, chunkSize)
-	emitSnapshot(b, shadows, inductions)
+	s := newStrip(b, k.Scratch, k.Counter, k.Step)
+	s.open(chunkSize)
 	if withPrefetch {
-		// DFD prefetch loop over the chunk (§V, Fig 26).
-		pf := prefetchBody(k.Slice)
-		b.Mov(tmpReg, chunkReg)
-		b.Label("pf")
-		emitBlock(b, pf)
-		emitBlock(b, k.Step)
-		b.I(isa.ADDI, tmpReg, tmpReg, -1)
-		b.Branch(isa.BNE, tmpReg, isa.Zero, "pf")
-		emitRestore(b, shadows, inductions)
+		s.prefetch(k.Slice)
 	}
 	// Loop 1: the branch slice. Only the predicate's backward slice is
 	// needed here (plus the communicated values when they travel through
@@ -619,18 +653,15 @@ func (k *Kernel) emitCFD(p Params, useVQ, withPrefetch bool) (*prog.Program, err
 	}
 	genWant |= upwardExposed(k.Step) & blockWrites(k.Slice)
 	gen := backwardSlice(k.Slice, genWant)
-	b.Mov(tmpReg, chunkReg)
-	b.Label("gen")
-	emitBlock(b, gen)
-	b.PushBQ(k.Pred)
-	if useVQ {
-		for _, r := range comm {
-			b.PushVQ(r)
+	s.loop("gen", func() {
+		emitBlock(b, gen)
+		b.PushBQ(k.Pred)
+		if useVQ {
+			for _, r := range comm {
+				b.PushVQ(r)
+			}
 		}
-	}
-	emitBlock(b, k.Step)
-	b.I(isa.ADDI, tmpReg, tmpReg, -1)
-	b.Branch(isa.BNE, tmpReg, isa.Zero, "gen")
+	})
 	if k.hasExit() {
 		// Remember where this chunk's predicates end so a mid-chunk
 		// exit can discard the leftovers in bulk (§IV-A).
@@ -639,32 +670,29 @@ func (k *Kernel) emitCFD(p Params, useVQ, withPrefetch bool) (*prog.Program, err
 		// chunk with no taken iterations cannot see a stale value.
 		b.Li(k.ExitPred, 0)
 	}
-	emitRestore(b, shadows, inductions)
+	s.rewind()
 	// Loop 2: the branch and its control-dependent region.
-	b.Mov(tmpReg, chunkReg)
-	b.Label("use")
-	if useVQ {
-		for _, r := range comm {
-			b.PopVQ(r)
+	s.loop("use", func() {
+		if useVQ {
+			for _, r := range comm {
+				b.PopVQ(r)
+			}
 		}
-	}
-	k.noteBranch(b, " (decoupled)")
-	b.BranchBQ("work")
-	b.Jump("skip")
-	b.Label("work")
-	if !useVQ {
-		emitBlock(b, recompute)
-	}
-	emitBlock(b, k.CD)
-	if k.hasExit() {
-		emitBlock(b, k.Exit)
-		k.noteExit(b)
-		b.Branch(isa.BNE, k.ExitPred, isa.Zero, "bail")
-	}
-	b.Label("skip")
-	emitBlock(b, k.Step)
-	b.I(isa.ADDI, tmpReg, tmpReg, -1)
-	b.Branch(isa.BNE, tmpReg, isa.Zero, "use")
+		k.noteBranch(b, " (decoupled)")
+		b.BranchBQ("work")
+		b.Jump("skip")
+		b.Label("work")
+		if !useVQ {
+			emitBlock(b, recompute)
+		}
+		emitBlock(b, k.CD)
+		if k.hasExit() {
+			emitBlock(b, k.Exit)
+			k.noteExit(b)
+			b.Branch(isa.BNE, k.ExitPred, isa.Zero, "bail")
+		}
+		b.Label("skip")
+	})
 	if k.hasExit() {
 		// Normal completion falls through: Forward consumes the mark
 		// with nothing left to pop. A mid-chunk exit lands here with
@@ -673,8 +701,7 @@ func (k *Kernel) emitCFD(p Params, useVQ, withPrefetch bool) (*prog.Program, err
 		b.ForwardBQ()
 		b.Branch(isa.BNE, k.ExitPred, isa.Zero, "done")
 	}
-	b.R(isa.SUB, k.Counter, k.Counter, chunkReg)
-	b.Branch(isa.BNE, k.Counter, isa.Zero, "chunk")
+	s.close()
 	k.passClose(b)
 	k.finish(b)
 	return b.Build()
@@ -690,43 +717,16 @@ func (k *Kernel) DFD(p Params) (*prog.Program, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	inductions := k.inductionRegs()
-	chunkReg, tmpReg := k.Scratch[0], k.Scratch[1]
-	shadows := k.Scratch[2 : 2+len(inductions)]
-	pf := prefetchBody(k.Slice)
-
 	b := prog.NewBuilder()
 	emitBlock(b, k.Init)
 	k.passOpen(b)
-	b.Label("chunk")
-	emitChunkN(b, chunkReg, tmpReg, k.Counter, p.bqChunk())
-	emitSnapshot(b, shadows, inductions)
-	// Prefetch loop.
-	b.Mov(tmpReg, chunkReg)
-	b.Label("pf")
-	emitBlock(b, pf)
-	emitBlock(b, k.Step)
-	b.I(isa.ADDI, tmpReg, tmpReg, -1)
-	b.Branch(isa.BNE, tmpReg, isa.Zero, "pf")
-	emitRestore(b, shadows, inductions)
+	s := newStrip(b, k.Scratch, k.Counter, k.Step)
+	s.open(p.bqChunk())
+	s.prefetch(k.Slice)
 	// Original loop over the warmed chunk.
-	b.Mov(tmpReg, chunkReg)
-	b.Label("loop")
-	emitBlock(b, k.Slice)
-	k.noteBranch(b, "")
-	b.Branch(isa.BEQ, k.Pred, isa.Zero, "skip")
-	emitBlock(b, k.CD)
-	if k.hasExit() {
-		emitBlock(b, k.Exit)
-		k.noteExit(b)
-		b.Branch(isa.BNE, k.ExitPred, isa.Zero, "done")
-	}
-	b.Label("skip")
-	emitBlock(b, k.Step)
-	b.I(isa.ADDI, tmpReg, tmpReg, -1)
-	b.Branch(isa.BNE, tmpReg, isa.Zero, "loop")
-	b.R(isa.SUB, k.Counter, k.Counter, chunkReg)
-	b.Branch(isa.BNE, k.Counter, isa.Zero, "chunk")
+	b.Mov(s.count, s.n)
+	k.emitBaseLoop(b, s.count, "", "done", false)
+	s.close()
 	k.passClose(b)
 	k.finish(b)
 	return b.Build()
@@ -763,35 +763,33 @@ func (k *Kernel) Hoist(p Params) (*prog.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	inductions := k.inductionRegs()
-	chunkReg, tmpReg := k.Scratch[0], k.Scratch[1]
-	shadows := k.Scratch[2 : 2+len(inductions)]
+	b := prog.NewBuilder()
+	s := newStrip(b, k.Scratch, k.Counter, k.Step)
 	sub := map[isa.Reg]isa.Reg{}
-	for i, r := range inductions {
-		sub[r] = shadows[i]
+	for i, r := range s.inductions {
+		sub[r] = s.shadows[i]
 	}
 	lookSlice := substituteRegs(k.Slice, sub)
 	lookStep := substituteRegs(k.Step, sub)
 
-	b := prog.NewBuilder()
 	emitBlock(b, k.Init)
 	k.passOpen(b)
 	// Passes with Counter <= D cannot sustain the pipeline; run them
 	// untransformed.
-	b.Li(chunkReg, d)
-	b.R(isa.SLT, tmpReg, chunkReg, k.Counter)
-	b.Branch(isa.BEQ, tmpReg, isa.Zero, "smallloop")
-	emitSnapshot(b, shadows, inductions)
+	b.Li(s.n, d)
+	b.R(isa.SLT, s.count, s.n, k.Counter)
+	b.Branch(isa.BEQ, s.count, isa.Zero, "smallloop")
+	s.snapshot()
 	// Prologue: push the first D predicates on the shadow cursors.
-	b.Mov(tmpReg, chunkReg)
+	b.Mov(s.count, s.n)
 	b.Label("pro")
 	emitBlock(b, lookSlice)
 	b.PushBQ(k.Pred)
 	emitBlock(b, lookStep)
-	b.I(isa.ADDI, tmpReg, tmpReg, -1)
-	b.Branch(isa.BNE, tmpReg, isa.Zero, "pro")
+	b.I(isa.ADDI, s.count, s.count, -1)
+	b.Branch(isa.BNE, s.count, isa.Zero, "pro")
 	// Steady state: consume one predicate, push the one D ahead.
-	b.R(isa.SUB, k.Counter, k.Counter, chunkReg)
+	b.R(isa.SUB, k.Counter, k.Counter, s.n)
 	b.Label("steady")
 	k.noteBranch(b, " (hoisted)")
 	b.BranchBQ("work")
@@ -807,21 +805,18 @@ func (k *Kernel) Hoist(p Params) (*prog.Program, error) {
 	b.I(isa.ADDI, k.Counter, k.Counter, -1)
 	b.Branch(isa.BNE, k.Counter, isa.Zero, "steady")
 	// Drain the last D predicates.
-	b.Mov(tmpReg, chunkReg)
-	b.Label("drain")
-	k.noteBranch(b, " (drain)")
-	b.BranchBQ("dwork")
-	b.Jump("dskip")
-	b.Label("dwork")
-	emitBlock(b, recompute)
-	emitBlock(b, k.CD)
-	b.Label("dskip")
-	emitBlock(b, k.Step)
-	b.I(isa.ADDI, tmpReg, tmpReg, -1)
-	b.Branch(isa.BNE, tmpReg, isa.Zero, "drain")
+	s.loop("drain", func() {
+		k.noteBranch(b, " (drain)")
+		b.BranchBQ("dwork")
+		b.Jump("dskip")
+		b.Label("dwork")
+		emitBlock(b, recompute)
+		emitBlock(b, k.CD)
+		b.Label("dskip")
+	})
 	b.Jump("passend")
 	// Fallback for short passes.
-	k.emitBaseLoop(b, "small", "done", false)
+	k.emitBaseLoop(b, k.Counter, "small", "done", false)
 	b.Label("passend")
 	k.passClose(b)
 	k.finish(b)
