@@ -429,9 +429,8 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		tot.Lookups, tot.Simulations, tot.CacheHits, 100*hitRate)
 	if r.Store != nil {
 		sm := r.Store.Metrics()
-		keys, _ := r.Store.Len()
 		fmt.Fprintf(stderr, "cfdbench: store %s: %d hits, %d misses, %d puts, %d quarantined, %d retries (%d keys indexed)\n",
-			r.Store.Dir(), sm.Hits, sm.Misses, sm.Puts, sm.Quarantines, sm.Retries, keys)
+			r.Store.Dir(), sm.Hits, sm.Misses, sm.Puts, sm.Quarantines, sm.Retries, r.Store.Len())
 	}
 
 	// Finalize the journal before the export document is built, so the

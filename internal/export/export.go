@@ -307,8 +307,7 @@ func Build(tool string, r *harness.Runner, exps []Experiment) *Document {
 		doc.Faults = append(doc.Faults, FromFailure(fl))
 	}
 	if r.Store != nil {
-		n, _ := r.Store.Len()
-		doc.Store = &StoreSection{Dir: r.Store.Dir(), Entries: n, Metrics: r.Store.Metrics()}
+		doc.Store = &StoreSection{Dir: r.Store.Dir(), Entries: r.Store.Len(), Metrics: r.Store.Metrics()}
 	}
 	if r.Journal != nil && r.Journal.Path() != "" {
 		doc.Journal = &JournalSection{

@@ -175,7 +175,7 @@ func TestCancelledSweepDrainsCommitter(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled sweep error = %v", err)
 	}
-	if n, _ := r.Store.Len(); n != simulated {
+	if n := r.Store.Len(); n != simulated {
 		t.Errorf("store holds %d entries after the sweep returned, want all %d simulated", n, simulated)
 	}
 	done := checkCommitJournal(t, r.Store, events)

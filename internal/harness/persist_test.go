@@ -177,7 +177,7 @@ func TestWatchdogFaultsAreNotPersisted(t *testing.T) {
 	if _, err := a.Run(spec); err == nil {
 		t.Fatal("50-cycle budget should expire")
 	}
-	if n, _ := a.Store.Len(); n != 0 {
+	if n := a.Store.Len(); n != 0 {
 		t.Fatalf("watchdog fault persisted: %d entries", n)
 	}
 
@@ -211,7 +211,7 @@ func TestStoreScaleDoesNotAlias(t *testing.T) {
 	if resA.Stats.Retired == resB.Stats.Retired {
 		t.Fatal("scales 0.02 and 0.06 retired identical work; aliasing test is vacuous")
 	}
-	if n, _ := b.Store.Len(); n != 2 {
+	if n := b.Store.Len(); n != 2 {
 		t.Fatalf("store entries = %d, want 2 (one per scale)", n)
 	}
 }
@@ -331,7 +331,7 @@ func TestStoreParallelSweepShared(t *testing.T) {
 			t.Errorf("runner %d quarantined %d entries under contention", i, q)
 		}
 	}
-	if n, _ := runners[0].Store.Len(); n != len(specs) {
+	if n := runners[0].Store.Len(); n != len(specs) {
 		t.Fatalf("store entries = %d, want %d", n, len(specs))
 	}
 	// The converged store restores everything for a third runner.
@@ -374,7 +374,7 @@ func TestStoreDrainPersistsInFlightRuns(t *testing.T) {
 	}
 	// The in-flight completion was flushed to the store before Sweep
 	// returned: that is the clean-drain guarantee.
-	if n, _ := r.Store.Len(); n != 1 {
+	if n := r.Store.Len(); n != 1 {
 		t.Fatalf("store entries after drain = %d, want 1", n)
 	}
 	b := openTestStore(t, dir)

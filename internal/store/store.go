@@ -331,8 +331,13 @@ func recordKey(rec []byte) (string, error) {
 // Frame returns env as one log record: the CRC-32C of env in eight hex
 // digits, a space, env and a newline.
 func Frame(env []byte) []byte {
-	rec := fmt.Appendf(make([]byte, 0, frameLen+len(env)+1), "%08x ", crc32.Checksum(env, castagnoli))
-	return append(append(rec, env...), '\n')
+	return appendFrame(make([]byte, 0, frameLen+len(env)+1), env)
+}
+
+// appendFrame appends env to buf as one log record.
+func appendFrame(buf, env []byte) []byte {
+	buf = fmt.Appendf(buf, "%08x ", crc32.Checksum(env, castagnoli))
+	return append(append(buf, env...), '\n')
 }
 
 // Unframe returns the envelope inside rec, one log record, or why rec is
@@ -367,10 +372,10 @@ func (s *Store) Metrics() Metrics {
 
 // Len returns the number of keys the handle serves: those Open indexed
 // plus those it stored since, less those it quarantined.
-func (s *Store) Len() (int, error) {
+func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.index), nil
+	return len(s.index)
 }
 
 // Close closes the handle's log. Every record a PutBatch reported stored
@@ -547,21 +552,26 @@ func (s *Store) Put(key string, payload []byte) error {
 func (s *Store) PutBatch(entries []Entry) []error {
 	s.reportDamage()
 	errs := make([]error, len(entries))
-	var buf []byte
-	ends := make([]int, len(entries)) // where each entry's record ends in buf
-	n := 0
+	envs := make([][]byte, len(entries))
+	n, size := 0, 0
 	for i, e := range entries {
 		env, err := json.Marshal(s.envelope(e))
 		if err != nil {
 			errs[i] = fmt.Errorf("store: encode %q: %w", e.Key, err)
 			continue
 		}
-		buf = append(buf, Frame(env)...)
-		ends[i] = len(buf)
+		envs[i] = env
 		n++
+		size += frameLen + len(env) + 1
 	}
 	if n == 0 {
 		return errs
+	}
+	buf := make([]byte, 0, size)
+	for i, env := range envs {
+		if errs[i] == nil {
+			buf = appendFrame(buf, env)
+		}
 	}
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
@@ -574,15 +584,15 @@ func (s *Store) PutBatch(entries []Entry) []error {
 		}
 		return errs
 	}
-	base := s.size
+	off := s.size
 	s.size += int64(len(buf))
 	s.puts.Add(uint64(n))
 	s.mu.Lock()
-	start := 0
 	for i, e := range entries {
 		if errs[i] == nil {
-			s.index[e.Key] = loc{log: s.logName, off: base + int64(start), n: ends[i] - start}
-			start = ends[i]
+			at := loc{log: s.logName, off: off, n: frameLen + len(envs[i]) + 1}
+			s.index[e.Key] = at
+			off += int64(at.n)
 		}
 	}
 	s.mu.Unlock()

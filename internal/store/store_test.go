@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -56,8 +57,8 @@ func TestPutReplacesEntry(t *testing.T) {
 	if !ok || string(got) != `"new"` {
 		t.Fatalf("got %q ok=%v, want \"new\"", got, ok)
 	}
-	if n, err := s.Len(); err != nil || n != 1 {
-		t.Fatalf("Len = %d, %v; want 1", n, err)
+	if n := s.Len(); n != 1 {
+		t.Fatalf("Len = %d, want 1", n)
 	}
 }
 
@@ -333,7 +334,7 @@ func TestOldEntriesLayoutReadsEmpty(t *testing.T) {
 		}
 	}
 	s := open(t, dir)
-	if n, _ := s.Len(); n != 0 {
+	if n := s.Len(); n != 0 {
 		t.Fatalf("Len = %d over an old layout, want 0", n)
 	}
 	if _, ok, err := s.Get("k"); ok || err != nil {
@@ -393,6 +394,48 @@ func TestPutBatchServedByFreshHandle(t *testing.T) {
 				t.Errorf("%s of the failed batch is served", k)
 			}
 		}
+	}
+}
+
+// TestPutBatchLogHoldsFramedEnvelopes: a batch's log holds exactly Frame of
+// each encodable entry's envelope, in entry order, and the handle serves
+// every key from its own record.
+func TestPutBatchLogHoldsFramedEnvelopes(t *testing.T) {
+	s := open(t, t.TempDir())
+	entries := []Entry{{"a", []byte(`1`)}, {"b", []byte(`{"x":[2,3]}`)}, {"bad", []byte(`{`)}, {"c", []byte(`"four"`)}}
+	errs := s.PutBatch(entries)
+	var want []byte
+	for i, e := range entries {
+		if e.Key == "bad" {
+			if errs[i] == nil {
+				t.Fatal("an entry whose payload is not JSON was stored")
+			}
+			continue
+		}
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		env, err := json.Marshal(s.envelope(e))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, Frame(env)...)
+	}
+	path, _ := recordOf(t, s, "a")
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("log holds\n%s\nwant the framed envelopes\n%s", got, want)
+	}
+	for _, e := range entries[:2] {
+		if p, ok, err := s.Get(e.Key); !ok || err != nil || !bytes.Equal(p, e.Payload) {
+			t.Errorf("%s: ok=%v err=%v payload %s, want %s", e.Key, ok, err, p, e.Payload)
+		}
+	}
+	if p, ok, _ := s.Get("c"); !ok || string(p) != `"four"` {
+		t.Errorf("c: ok=%v payload %s", ok, p)
 	}
 }
 
@@ -505,11 +548,11 @@ func TestConcurrentWritersConverge(t *testing.T) {
 	if q := a.Metrics().Quarantines + b.Metrics().Quarantines; q != 0 {
 		t.Fatalf("concurrent writers caused %d quarantines", q)
 	}
-	if n, _ := a.Len(); n != 4 {
+	if n := a.Len(); n != 4 {
 		t.Fatalf("Len = %d, want 4", n)
 	}
 	// A third handle sees both logs, and every key once.
-	if n, _ := open(t, dir).Len(); n != 4 {
+	if n := open(t, dir).Len(); n != 4 {
 		t.Fatalf("Len of a fresh handle = %d, want 4", n)
 	}
 }
