@@ -15,7 +15,6 @@ import (
 	"cfd/internal/fault"
 	"cfd/internal/isa"
 	"cfd/internal/mem"
-	"cfd/internal/obs"
 	"cfd/internal/prog"
 )
 
@@ -62,7 +61,6 @@ type Machine struct {
 
 	tracer Tracer
 	wd     *fault.Watchdog
-	obsv   *obs.Observer
 	diag   fault.Ring
 
 	// ctxImg is the reusable queue save/restore image buffer; switches
@@ -382,9 +380,6 @@ func (m *Machine) Step() error {
 	m.PC = next
 	m.Retired++
 	m.diag.Record(pc, in)
-	if m.obsv != nil {
-		m.obsTick()
-	}
 	if m.tracer != nil {
 		ev.NextPC = next
 		m.tracer.Retire(ev)
@@ -402,21 +397,7 @@ func (m *Machine) Run(limit uint64) error {
 // watchdog (WithWatchdog) and the caller's context both bound the run, and
 // expiry returns a fault.WatchdogExpiry fault with a state snapshot. The
 // watchdog's MaxCycles counts retired instructions — the emulator's clock.
-//
-// A faulting run flushes the observer's partial tail interval before
-// returning, so a faulted time series is exactly the clean series
-// truncated at the fault point — the final sample is not lost with the
-// run. (FinishObservation stays idempotent: no clock advances after the
-// fault, so a later caller-side flush records nothing.)
 func (m *Machine) RunCtx(ctx context.Context, limit uint64) error {
-	err := m.runCtx(ctx, limit)
-	if err != nil && !errors.Is(err, ErrLimit) {
-		m.FinishObservation()
-	}
-	return err
-}
-
-func (m *Machine) runCtx(ctx context.Context, limit uint64) error {
 	wd := m.wd.WithContext(ctx)
 	for !m.Halted {
 		if limit != 0 && m.Retired >= limit {

@@ -2,6 +2,7 @@ package faultinject
 
 import (
 	"fmt"
+	"slices"
 
 	"cfd/internal/core"
 	"cfd/internal/emu"
@@ -204,45 +205,9 @@ func runVictim(g *golden, injectStep int, inject func(m *emu.Machine) bool) vict
 	if out.err == nil {
 		out.endDiff = machine.Regs != g.endRegs ||
 			machine.PC != g.endPC || machine.TCR != g.endTCR ||
-			!boolsEqual(machine.BQ.Contents(), g.endBQ) ||
-			!u64sEqual(machine.VQ.Contents(), g.endVQ) ||
-			!tqEqual(machine.TQ.Contents(), g.endTQ)
+			!slices.Equal(machine.BQ.Contents(), g.endBQ) ||
+			!slices.Equal(machine.VQ.Contents(), g.endVQ) ||
+			!slices.Equal(machine.TQ.Contents(), g.endTQ)
 	}
 	return out
-}
-
-func boolsEqual(a, b []bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func u64sEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func tqEqual(a, b []core.TQEntry) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -3,6 +3,7 @@ package faultinject
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"cfd/internal/core"
 	"cfd/internal/emu"
@@ -107,12 +108,12 @@ func goldenFor(site Site, goldens map[string]*golden) (*golden, error) {
 	if name == ctxVictimName {
 		p, err = ctxProgram()
 	} else {
-		wl, v := splitVictim(name)
+		wl, v, _ := strings.Cut(name, "/")
 		s, ok := workload.ByName(wl)
 		if !ok {
 			return nil, fmt.Errorf("unknown workload %q", wl)
 		}
-		p, m, err = s.Build(v, s.TestN)
+		p, m, err = s.Build(workload.Variant(v), s.TestN)
 	}
 	if err != nil {
 		return nil, err
@@ -123,15 +124,6 @@ func goldenFor(site Site, goldens map[string]*golden) (*golden, error) {
 	}
 	goldens[name] = g
 	return g, nil
-}
-
-func splitVictim(name string) (string, workload.Variant) {
-	for i := 0; i < len(name); i++ {
-		if name[i] == '/' {
-			return name[:i], workload.Variant(name[i+1:])
-		}
-	}
-	return name, workload.Base
 }
 
 // pickEntry chooses an eligible entry uniformly and an injection step

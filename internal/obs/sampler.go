@@ -5,8 +5,8 @@ package obs
 // simulated-time counters, so series are deterministic and byte-identical
 // across -jobs settings.
 type Sample struct {
-	// Cycle is the interval's end boundary (exclusive) on the engine's
-	// clock — pipeline cycles, or retired instructions for the emulator.
+	// Cycle is the interval's end boundary (exclusive), in pipeline
+	// cycles.
 	Cycle uint64 `json:"cycle"`
 
 	// IPC is retired instructions per cycle over the interval.
