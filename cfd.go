@@ -23,6 +23,7 @@
 package cfd
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -204,5 +205,5 @@ func RunExperimentWith(id string, w io.Writer, scale float64, jobs int, verify b
 	r := harness.NewRunner(scale)
 	r.Jobs = jobs
 	r.Verify = verify
-	return r.RunExperiment(e, w)
+	return r.RunExperiment(context.Background(), e, w)
 }

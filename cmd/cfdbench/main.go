@@ -274,7 +274,6 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	r.KeepGoing = *keepGoing
 	r.MaxCycles = *maxCycles
 	r.RunTimeout = *deadline
-	r.BaseCtx = ctx
 	if *storeDir != "" {
 		st, err := harness.OpenStore(*storeDir)
 		if err != nil {
@@ -359,7 +358,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		r.ManifestDigest = mf.Digest()
 		start := time.Now()
 		fmt.Fprintf(tableOut, "### manifest %s — %d specs\n\n", name, len(mfSpecs))
-		if err := r.Prefetch(mfSpecs...); err != nil {
+		if _, err := r.Sweep(ctx, mfSpecs); err != nil {
 			switch {
 			case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 				interrupted = true
@@ -392,7 +391,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		start := time.Now()
 		before := r.Metrics()
 		fmt.Fprintf(tableOut, "### %s — %s\n\n", e.ID, e.Title)
-		if err := r.RunExperiment(e, tableOut); err != nil {
+		if err := r.RunExperiment(ctx, e, tableOut); err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				// The drain already happened inside Sweep: every
 				// in-flight simulation completed and flushed before the

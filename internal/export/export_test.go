@@ -36,7 +36,7 @@ func buildDoc(t *testing.T, jobs int) *Document {
 		t.Fatal("experiment fig18 not registered")
 	}
 	before := r.Metrics()
-	if err := r.RunExperiment(e, io.Discard); err != nil {
+	if err := r.RunExperiment(context.Background(), e, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	return Build("cfdbench", r, []Experiment{

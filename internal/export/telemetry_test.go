@@ -2,6 +2,7 @@ package export
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -20,7 +21,7 @@ func buildSampledDoc(t *testing.T, jobs int) *Document {
 		{Workload: "bzip2like", Variant: workload.Base, Config: config.SandyBridge(), SampleEvery: 2048},
 		{Workload: "bzip2like", Variant: workload.CFD, Config: config.SandyBridge(), SampleEvery: 2048},
 	}
-	if err := r.Prefetch(specs...); err != nil {
+	if _, err := r.Sweep(context.Background(), specs); err != nil {
 		t.Fatal(err)
 	}
 	return Build("cfdsim", r, nil)

@@ -190,7 +190,7 @@ func TestOwnProgramsUnderRunnerBudget(t *testing.T) {
 
 	r := NewRunner(0.02)
 	r.MaxCycles = 1000
-	err = r.RunExperiment(e, io.Discard)
+	err = r.RunExperiment(context.Background(), e, io.Discard)
 	if f, ok := fault.As(err); !ok || f.Kind != fault.WatchdogExpiry {
 		t.Errorf("MaxCycles 1000: err = %v, want a watchdog-expiry fault", err)
 	}
@@ -198,7 +198,7 @@ func TestOwnProgramsUnderRunnerBudget(t *testing.T) {
 	r = NewRunner(0.02)
 	r.MaxCycles = 1000
 	r.KeepGoing = true
-	if err := r.RunExperiment(e, io.Discard); err == nil {
+	if err := r.RunExperiment(context.Background(), e, io.Discard); err == nil {
 		t.Error("MaxCycles 1000 with KeepGoing: the table rendered from faulted runs")
 	}
 	fails := r.Failures()
@@ -216,7 +216,7 @@ func TestOwnProgramsUnderRunnerBudget(t *testing.T) {
 
 	r = NewRunner(0.02)
 	r.Verify = true
-	if err := r.RunExperiment(e, io.Discard); err != nil {
+	if err := r.RunExperiment(context.Background(), e, io.Discard); err != nil {
 		t.Errorf("under -verify: %v", err)
 	}
 	if got := len(r.Results()); got != len(specs) {

@@ -4,7 +4,7 @@
 // appropriate), and prints the same rows or series the paper reports.
 //
 // The Runner is safe for concurrent use: every experiment submits its
-// RunSpecs up front through Sweep/Prefetch, which fan the simulations
+// RunSpecs up front through Sweep, which fans the simulations
 // across a worker pool, and then assembles its rows serially from the
 // memoized results — so output is byte-identical whatever Jobs is set to.
 package harness
@@ -73,15 +73,6 @@ type Runner struct {
 	// one with OpenStore; see persist.go for the key and quarantine
 	// rules. Set before the Runner is shared between goroutines.
 	Store *store.Store
-	// BaseCtx, when non-nil, is the context Prefetch sweeps under
-	// (experiments call Prefetch, which has no ctx parameter of its
-	// own). Cancelling it makes an in-progress sweep drain: no new
-	// simulations start, in-flight ones run to completion — and, with a
-	// Store attached, flush to disk — before Sweep returns the
-	// cancellation error. This is how cfdbench turns SIGINT/SIGTERM
-	// into a clean resumable exit. Set before the Runner is shared
-	// between goroutines.
-	BaseCtx context.Context
 	// Journal, when non-nil, receives the structured sweep event stream
 	// (cfd-journal JSONL): sweep start/finish, per-spec
 	// submit/start/done with result counters, and watchdog expiries.
@@ -264,9 +255,6 @@ func (r *Runner) runCtx(ctx context.Context, rs RunSpec, sweep uint64, builds *b
 	key := rs.key()
 	r.lookups.Add(1)
 	r.mu.Lock()
-	if r.cache == nil {
-		r.cache = make(map[string]*cacheEntry)
-	}
 	if e, ok := r.cache[key]; ok {
 		r.mu.Unlock()
 		r.cacheHits.Add(1)
@@ -547,18 +535,21 @@ func SpecsFromManifest(m *manifest.Manifest) ([]RunSpec, error) {
 	return out, nil
 }
 
-// RunExperiment expands the experiment's manifest, prefetches the spec
-// set across the worker pool, and then runs the experiment's assembly
-// phase. Tolerant experiments proceed to assembly even when some specs
-// faulted; cancellation always propagates so an interrupted sweep drains
-// instead of assembling partial tables.
-func (r *Runner) RunExperiment(e *Experiment, w io.Writer) error {
+// RunExperiment expands the experiment's manifest, sweeps the spec set
+// across the worker pool under ctx, and then runs the experiment's
+// assembly phase. Tolerant experiments proceed to assembly even when some
+// specs faulted; cancellation always propagates so an interrupted sweep
+// drains instead of assembling partial tables. Cancelling ctx is how
+// cfdbench turns SIGINT/SIGTERM into a clean resumable exit: no new
+// simulations start, and in-flight ones run to completion and, with a
+// Store attached, flush to disk before the cancellation error returns.
+func (r *Runner) RunExperiment(ctx context.Context, e *Experiment, w io.Writer) error {
 	specs, err := e.Specs()
 	if err != nil {
 		return err
 	}
 	if len(specs) > 0 {
-		if err := r.Prefetch(specs...); err != nil {
+		if _, err := r.Sweep(ctx, specs); err != nil {
 			if !e.Tolerant || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				return err
 			}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -208,7 +209,7 @@ func TestAssemblyLooksUpOnlyManifestSpecs(t *testing.T) {
 		}
 		r := NewRunner(0.02)
 		r.KeepGoing = true
-		r.Prefetch(specs...) //nolint:errcheck // failed specs are memoized as faults
+		r.Sweep(context.Background(), specs) //nolint:errcheck // failed specs are memoized as faults
 		mu.Lock()
 		undeclared = nil
 		mu.Unlock()

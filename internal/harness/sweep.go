@@ -117,17 +117,3 @@ func (r *Runner) Sweep(ctx context.Context, specs []RunSpec) ([]*Result, error) 
 	}
 	return out, nil
 }
-
-// Prefetch simulates every spec across the worker pool so subsequent Run
-// calls are cache hits. Experiments call it with their full spec list up
-// front and then assemble rows serially in deterministic order. It sweeps
-// under r.BaseCtx when set, so a CLI-level signal context cancels the
-// experiment sweeps it drives.
-func (r *Runner) Prefetch(specs ...RunSpec) error {
-	ctx := r.BaseCtx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	_, err := r.Sweep(ctx, specs)
-	return err
-}
